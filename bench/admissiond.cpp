@@ -14,15 +14,20 @@
 /// own protocol loop (real journal, real parser, real deadlines), and
 /// re-derives each decision with the offline exact-rational contention_rta
 /// — any divergence (an ADMIT the offline test rejects, or vice versa) is
-/// a hard failure.  PROVISIONAL answers are checked for fail-closedness
-/// only: they must never correspond to an applied admission.
+/// a hard failure.  Every third task the offline test admits LEAVEs again
+/// after the next ADMIT, so departures from the middle of the set — and
+/// the daemon's incremental re-analysis after them — are refereed too.
+/// PROVISIONAL answers are checked for fail-closedness only: they must
+/// never correspond to an applied admission.
 ///
 /// `--faults '<spec>'` (or HEDRA_FAULTS in the environment) arms the fault
 /// registry first, so the smoke doubles as a fail-closed property check
 /// under injected faults.
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -47,11 +52,56 @@ using hedra::serve::AdmissionService;
 using hedra::serve::ServerConfig;
 using hedra::serve::ServerStats;
 
+/// One scripted request of a smoke set: ADMIT or LEAVE of set[task].
+struct SmokeOp {
+  bool leave = false;
+  std::size_t task = 0;
+};
+
+/// `set` without the task named `name` (which must be present).
+hedra::taskset::TaskSet without_named(const hedra::taskset::TaskSet& set,
+                                      const std::string& name) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (set[i].name() == name) return set.without(i);
+  }
+  throw hedra::Error("smoke: no task named '" + name + "'");
+}
+
+/// The smoke script of one set: every task is ADMITted in order, and every
+/// third task the offline exact test admits (counted across all sets in
+/// `admits`) LEAVEs right after the next ADMIT, so it departs from the
+/// middle of the set — or at the end, when it was the set's last task.
+/// Planned with the offline test before any fault is armed.
+std::vector<SmokeOp> smoke_plan(const hedra::taskset::TaskSet& set,
+                                int& admits) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<SmokeOp> ops;
+  hedra::taskset::TaskSet admitted(set.platform());
+  std::size_t pending = kNone;
+  for (std::size_t k = 0; k < set.size(); ++k) {
+    ops.push_back(SmokeOp{false, k});
+    hedra::taskset::TaskSet candidate = admitted.with_appended(set[k]);
+    const bool admitted_now =
+        hedra::taskset::contention_rta(candidate).schedulable;
+    if (admitted_now) admitted = std::move(candidate);
+    if (pending != kNone) {
+      ops.push_back(SmokeOp{true, pending});
+      admitted = without_named(admitted, set[pending].name());
+      pending = kNone;
+    }
+    if (admitted_now && ++admits % 3 == 0) pending = k;
+  }
+  if (pending != kNone) ops.push_back(SmokeOp{true, pending});
+  return ops;
+}
+
 /// Pipes `count` generated task sets through a fresh service's protocol
-/// loop and cross-checks every decision offline.  Returns the number of
-/// divergences (0 = pass).
+/// loop and cross-checks every decision offline.  `arm_faults` runs once
+/// the scripts are planned, so injected faults reach the daemon but never
+/// the planning.  Returns the number of divergences (0 = pass).
 int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
-              const ServerConfig& server_config) {
+              const ServerConfig& server_config,
+              const std::function<void()>& arm_faults) {
   hedra::taskset::TaskSetGenConfig gen_config;
   gen_config.num_tasks = tasks_per_set;
   gen_config.total_utilization = 2.5;
@@ -64,6 +114,12 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
   gen_config.cores = 4;
   const std::vector<hedra::taskset::TaskSet> sets =
       hedra::taskset::generate_taskset_batch(gen_config, count, seed);
+  std::vector<std::vector<SmokeOp>> plans;
+  int admits = 0;
+  for (const hedra::taskset::TaskSet& set : sets) {
+    plans.push_back(smoke_plan(set, admits));
+  }
+  arm_faults();
 
   // Two severities: an unsound ADMIT is fatal always; a softer mismatch
   // (REJECT/PROVISIONAL/ERROR where offline admits) is under-admission —
@@ -75,18 +131,24 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
   int unsound = 0;
   int mismatches = 0;
   int checked = 0;
+  int leaves = 0;
 
   // Phase 1: drive every set through the daemon's protocol loop — with any
-  // armed faults live.  Outputs and final state sizes are collected so the
-  // offline referee below can run with injection DISABLED (the referee
+  // armed faults live.  Outputs and final admitted names are collected so
+  // the offline referee below can run with injection DISABLED (the referee
   // shares the instrumented analysis code; a fault firing inside the
   // referee would corrupt the verdict it is refereeing).
   std::vector<std::string> outputs;
-  std::vector<std::size_t> final_sizes;
+  std::vector<std::vector<std::string>> final_names;
   for (int si = 0; si < count; ++si) {
     const hedra::taskset::TaskSet& set = sets[static_cast<std::size_t>(si)];
     std::ostringstream script;
-    for (const auto& task : set) {
+    for (const SmokeOp& op : plans[static_cast<std::size_t>(si)]) {
+      const auto& task = set[op.task];
+      if (op.leave) {
+        script << "LEAVE " << task.name() << "\n";
+        continue;
+      }
       script << "ADMIT " << task.name() << " period " << task.period()
              << " deadline " << task.deadline() << "\n"
              << hedra::graph::write_dag_text(task.dag()) << "endtask\n";
@@ -100,38 +162,76 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
     AdmissionService service(config);
     (void)hedra::serve::run_server(in, out, service, server_config);
     outputs.push_back(out.str());
-    final_sizes.push_back(service.snapshot()->set.size());
+    std::vector<std::string> names;
+    for (const auto& task : service.snapshot()->set) {
+      names.push_back(task.name());
+    }
+    final_names.push_back(std::move(names));
   }
   hedra::fault::reset();
 
-  // Phase 2: the offline referee replays the same incremental admissions
-  // with the unlimited exact-rational test.  The daemon's ADMIT set must
-  // match the referee's exactly (sans faults); PROVISIONAL/REJECT/ERROR
-  // answers must correspond to tasks the daemon did NOT apply.
+  // Phase 2: the offline referee replays the same script — admissions and
+  // departures — with the unlimited exact-rational test.  The daemon's
+  // ADMIT set must match the referee's exactly (sans faults);
+  // PROVISIONAL/REJECT/ERROR answers must correspond to tasks the daemon
+  // did NOT apply, and a LEAVE must succeed exactly for admitted tasks.
   for (int si = 0; si < count; ++si) {
     const hedra::taskset::TaskSet& set = sets[static_cast<std::size_t>(si)];
     hedra::taskset::TaskSet admitted(set.platform());
 
     // Correlate responses by task name, not order: under overload SHED
     // lines from the reader overtake queued responses (documented in
-    // server.h), so positional matching would misattribute decisions.
-    std::map<std::string, std::string> reply_for;
+    // server.h), so positional matching would misattribute decisions.  A
+    // name gets at most one ADMIT and one LEAVE; only an ADMITTED line
+    // answers the first and only an OK line the second.
+    std::map<std::string, std::string> admit_reply;
+    std::map<std::string, bool> left;
     std::istringstream responses(outputs[static_cast<std::size_t>(si)]);
     std::string line;
     while (std::getline(responses, line)) {
       std::istringstream fields(line);
       std::string decision, name;
       fields >> decision >> name;
-      if (!name.empty()) reply_for.emplace(name, line);
+      if (name.empty()) continue;
+      if (decision == "OK") {
+        left[name] = true;
+      } else if (decision == "ADMITTED" || !admit_reply.count(name)) {
+        admit_reply[name] = line;
+      }
     }
 
-    for (const auto& task : set) {
-      const auto it = reply_for.find(task.name());
-      line = it == reply_for.end() ? std::string("<no response>") : it->second;
+    for (const SmokeOp& op : plans[static_cast<std::size_t>(si)]) {
+      const auto& task = set[op.task];
+      if (op.leave) {
+        ++leaves;
+        const bool daemon_left = left.count(task.name()) > 0;
+        const bool present = std::any_of(
+            admitted.begin(), admitted.end(),
+            [&](const auto& t) { return t.name() == task.name(); });
+        if (daemon_left && !present) {
+          ++unsound;
+          std::cerr << "UNSOUND LEAVE: set " << si << " task " << task.name()
+                    << " left but was never admitted\n";
+        }
+        if (daemon_left != present) {
+          ++mismatches;
+          if (!lenient) {
+            std::cerr << "divergence: set " << si << " LEAVE " << task.name()
+                      << ": daemon " << (daemon_left ? "removed" : "kept")
+                      << " it, offline state "
+                      << (present ? "holds" : "lacks") << " it\n";
+          }
+        }
+        if (daemon_left && present) {
+          admitted = without_named(admitted, task.name());
+        }
+        continue;
+      }
+      const auto it = admit_reply.find(task.name());
+      line = it == admit_reply.end() ? std::string("<no response>") : it->second;
       const bool daemon_admitted = line.rfind("ADMITTED", 0) == 0;
 
-      hedra::taskset::TaskSet candidate = admitted;
-      candidate.add(task);
+      hedra::taskset::TaskSet candidate = admitted.with_appended(task);
       const auto offline = hedra::taskset::contention_rta(candidate);
       ++checked;
       if (daemon_admitted && !offline.schedulable) {
@@ -149,25 +249,24 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
                     << "\n";
         }
       }
-      if (daemon_admitted) admitted.add(task);
+      if (daemon_admitted) admitted = std::move(candidate);
     }
 
-    // The daemon's applied state must equal its acknowledged admissions.
-    // With faults armed the ACK set is recomputed from the daemon's own
+    // The daemon's applied state must equal its acknowledged admissions
+    // minus its acknowledged departures, task for task and in order.  With
+    // faults armed the acknowledgements come from the daemon's own
     // replies, so this still holds: ADMITTED implies applied, exactly.
-    std::size_t acknowledged = 0;
-    std::istringstream recount(outputs[static_cast<std::size_t>(si)]);
-    while (std::getline(recount, line)) {
-      if (line.rfind("ADMITTED", 0) == 0) ++acknowledged;
-    }
-    if (final_sizes[static_cast<std::size_t>(si)] != acknowledged) {
+    std::vector<std::string> acknowledged;
+    for (const auto& task : admitted) acknowledged.push_back(task.name());
+    if (final_names[static_cast<std::size_t>(si)] != acknowledged) {
       ++unsound;
       std::cerr << "state divergence: set " << si << " final state has "
-                << final_sizes[static_cast<std::size_t>(si)]
-                << " tasks, acknowledged " << acknowledged << "\n";
+                << final_names[static_cast<std::size_t>(si)].size()
+                << " tasks, acknowledged " << acknowledged.size() << "\n";
     }
   }
-  std::cout << "smoke: " << checked << " decisions cross-checked, " << unsound
+  std::cout << "smoke: " << checked << " decisions and " << leaves
+            << " leaves cross-checked, " << unsound
             << " unsound, " << mismatches << " mismatch(es)"
             << (lenient ? " [lenient: only unsound is fatal]" : "")
             << "\n";
@@ -218,12 +317,14 @@ int main(int argc, char** argv) {
   try {
     if (!parser.parse(argc, argv)) return 0;
 
-    if (!faults->empty()) {
-      hedra::fault::configure(*faults,
-                              static_cast<std::uint64_t>(*fault_seed));
-    } else {
-      (void)hedra::fault::install_from_env();
-    }
+    const auto arm_faults = [&] {
+      if (!faults->empty()) {
+        hedra::fault::configure(*faults,
+                                static_cast<std::uint64_t>(*fault_seed));
+      } else {
+        (void)hedra::fault::install_from_env();
+      }
+    };
 
     ServerConfig server_config;
     server_config.queue_capacity = static_cast<std::size_t>(*queue);
@@ -250,11 +351,13 @@ int main(int argc, char** argv) {
       const int divergences =
           run_smoke(static_cast<int>(*smoke_sets),
                     static_cast<int>(*smoke_tasks),
-                    static_cast<std::uint64_t>(*seed), server_config);
+                    static_cast<std::uint64_t>(*seed), server_config,
+                    arm_faults);
       dump_telemetry();
       return divergences == 0 ? 0 : 1;
     }
 
+    arm_faults();
     AdmissionConfig config;
     config.platform = hedra::model::Platform::parse(*platform);
     config.journal_path = *journal;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "graph/dag.h"
@@ -23,8 +22,11 @@ using graph::Time;
 /// A sporadic DAG task.
 ///
 /// Two storage modes share one API:
-///   - *eager*: constructed from a `Dag`, which is stored directly (the
-///     classic path — file round-trips, hand-built tests, rewrites);
+///   - *eager*: constructed from a `Dag`, held behind a shared immutable
+///     handle (the classic path — file round-trips, hand-built tests,
+///     rewrites).  Copies of the task alias one graph, so copying a task
+///     set costs a handle per task, not a graph per task; `mutable_dag()`
+///     copies the graph first if another task still shares it;
 ///   - *arena-backed*: constructed from a shared `graph::FlatDagBatch`
 ///     record.  The CSR arrays ARE the task's graph; `dag()` materialises a
 ///     field-identical `Dag` lazily, only if something actually asks for
@@ -52,7 +54,9 @@ class DagTask {
   [[nodiscard]] const Dag& dag() const;
 
   /// Mutable graph access.  Detaches an arena-backed task from its batch
-  /// first (the flat view would silently go stale under mutation).
+  /// first (the flat view would silently go stale under mutation), and
+  /// copies the graph if another task shares it (copy-on-write), so a
+  /// mutation never shows through a copy of this task.
   [[nodiscard]] Dag& mutable_dag();
 
   /// True when the task still aliases its generation arena, i.e.
@@ -80,8 +84,10 @@ class DagTask {
   [[nodiscard]] Frac length_ratio() const;
 
  private:
-  /// Present for eager tasks; lazily filled for arena-backed ones.
-  mutable std::optional<Dag> dag_;
+  /// Present for eager tasks; lazily filled for arena-backed ones.  Shared
+  /// between copies; only mutable_dag() writes through it, and only once
+  /// no other task holds it.
+  mutable std::shared_ptr<Dag> dag_;
   std::shared_ptr<const graph::FlatDagBatch> batch_;  ///< null when eager
   std::size_t batch_index_ = 0;
   Time period_;

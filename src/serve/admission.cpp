@@ -31,15 +31,6 @@ model::DagTask parse_task_block(const std::string& block,
   return one[0];
 }
 
-taskset::TaskSet with_task(const model::Platform& platform,
-                           const taskset::TaskSet& base,
-                           const model::DagTask* extra) {
-  taskset::TaskSet next(platform);
-  for (const model::DagTask& task : base) next.add(task);
-  if (extra != nullptr) next.add(*extra);
-  return next;
-}
-
 }  // namespace
 
 const char* to_string(Decision decision) noexcept {
@@ -116,14 +107,16 @@ AdmissionService::AdmissionService(AdmissionConfig config)
     snapshot->set = taskset::TaskSet(config_.platform, std::move(tasks));
     snapshot->set.validate();
     if (!snapshot->set.empty()) {
-      snapshot->analysis = taskset::contention_rta(snapshot->set);
+      snapshot->analysis = taskset::contention_rta_update(
+          snapshot->set, nullptr, &snapshot->memo);
     }
     snapshot->version = replay.records.size();
     journal_bytes_.store(journal_->bytes_committed(),
                          std::memory_order_relaxed);
   }
 
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  util::MutexLock lock(snapshot_mutex_);
+  snapshot_ = std::move(snapshot);
 }
 
 AdmissionReply AdmissionService::admit(const model::DagTask& task,
@@ -147,24 +140,27 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
 
   const int build_span =
       trace != nullptr ? trace->begin("snapshot-build") : -1;
-  taskset::TaskSet candidate =
-      with_task(config_.platform, current->set, &task);
+  // Only the newcomer is validated: every admitted task passed the same
+  // checks when it joined, and the name was checked for uniqueness above.
   try {
-    candidate.validate();
+    current->set.validate_task(task);
   } catch (const Error& e) {
     reply.decision = Decision::kError;
     reply.detail = e.what();
     tally_errors_.fetch_add(1, std::memory_order_relaxed);
     return reply;
   }
+  taskset::TaskSet candidate = current->set.with_appended(task);
   if (trace != nullptr) trace->end(build_span);
 
   const int rta_span = trace != nullptr ? trace->begin("rta-fixpoint") : -1;
   util::Budget budget(deadline, config_.max_work_per_request == 0
                                     ? util::Budget::kUnlimitedWork
                                     : config_.max_work_per_request);
+  const taskset::PriorAnalysis prior{current->analysis, current->memo};
+  taskset::AnalysisMemo memo;
   taskset::ContentionAnalysis analysis =
-      taskset::contention_rta(candidate, &budget);
+      taskset::contention_rta_update(candidate, &prior, &memo, &budget);
   if (trace != nullptr) trace->end(rta_span);
 
   if (analysis.schedulable) {
@@ -183,6 +179,7 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
     HEDRA_FAULT("serve.snapshot.alloc");
     next->set = std::move(candidate);
     next->analysis = std::move(analysis);
+    next->memo = std::move(memo);
     next->version = current->version + 1;
     // Journal BEFORE publishing: a crash between the two replays to the
     // state we are about to acknowledge, never to one the client was not
@@ -263,26 +260,29 @@ AdmissionReply AdmissionService::leave(const std::string& name) {
 
   util::MutexLock writer(writer_mutex_);
   const std::shared_ptr<const Snapshot> current = snapshot();
-  taskset::TaskSet next_set(config_.platform);
-  bool found = false;
-  for (const model::DagTask& task : current->set) {
-    if (task.name() == name) {
-      found = true;
-      continue;
-    }
-    next_set.add(task);
-  }
-  if (!found) {
+  const auto it = std::find_if(
+      current->set.begin(), current->set.end(),
+      [&](const model::DagTask& task) { return task.name() == name; });
+  if (it == current->set.end()) {
     reply.decision = Decision::kError;
     reply.detail = "no admitted task named '" + name + "'";
     return reply;
   }
+  const auto removed =
+      static_cast<std::size_t>(it - current->set.begin());
 
   auto next = std::make_shared<Snapshot>();
   HEDRA_FAULT("serve.snapshot.alloc");
-  next->set = std::move(next_set);
+  next->set = current->set.without(removed);
   if (!next->set.empty()) {
-    next->analysis = taskset::contention_rta(next->set);
+    // A departure only lowers interference and frees cores, so the
+    // remaining set stays schedulable; the unlimited update re-solves just
+    // the departed task's device sharers and the tasks behind it whose
+    // verdicts cannot be carried over.
+    const taskset::PriorAnalysis prior{current->analysis, current->memo,
+                                       removed};
+    next->analysis =
+        taskset::contention_rta_update(next->set, &prior, &next->memo);
   }
   next->version = current->version + 1;
   if (journal_.has_value()) {

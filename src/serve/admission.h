@@ -21,9 +21,17 @@
 ///     answered on a complete exact-rational proof.
 ///
 ///  2. *RCU-style snapshots.*  The admitted state is an immutable Snapshot
-///     behind std::atomic<std::shared_ptr>; readers (status queries,
-///     concurrent inspectors) load it wait-free while the single writer
-///     builds a successor and swaps it in after the journal commit.
+///     behind a shared_ptr; readers (status queries, concurrent
+///     inspectors) copy that pointer under a lock held only for the copy,
+///     while the single writer builds a successor outside any reader's
+///     way and swaps it in after the journal commit.  (A plain mutex, not
+///     std::atomic<std::shared_ptr>: the latter's load in GCC 12's
+///     libstdc++ unlocks with a relaxed store, which races with the next
+///     swap under the C++ memory model and fails ThreadSanitizer.)  The
+///     successor's analysis is incremental (taskset::contention_rta_update):
+///     an ADMIT or LEAVE re-solves only the tasks sharing a device class
+///     with the task that joined or left, plus any task whose cores no
+///     longer fit, and carries every other verdict over.
 ///
 ///  3. *Crash safety.*  Every state change is journalled (serve/journal.h)
 ///     BEFORE the snapshot swap, so a restart replays admit/leave records
@@ -33,7 +41,8 @@
 /// Thread model: mutations (admit()/leave()) serialise on an internal
 /// writer mutex — the journal handle and the snapshot-swap publish path are
 /// machine-checked (Clang thread-safety analysis) to only ever run under
-/// it; snapshot() is a wait-free atomic load, safe from any thread.
+/// it; snapshot() copies one pointer under its own short lock, safe from
+/// any thread and never blocked by an analysis in progress.
 
 #include <atomic>
 #include <cstdint>
@@ -61,12 +70,18 @@ enum class Decision {
 
 [[nodiscard]] const char* to_string(Decision decision) noexcept;
 
-/// Immutable admitted state.  Replaced wholesale on every mutation.
+/// Immutable admitted state.  Replaced wholesale on every mutation, but
+/// cheaply: successive snapshots share every task's graph (model::DagTask
+/// handles) and every unchanged seed list (taskset::AnalysisMemo), so a
+/// mutation copies a handle per task, not a graph per task.
 struct Snapshot {
   taskset::TaskSet set;
   /// contention_rta of `set` (complete, unlimited budget); meaningful only
   /// when the set is non-empty.
   taskset::ContentionAnalysis analysis;
+  /// What the next ADMIT or LEAVE reuses of `analysis`: seeds at the core
+  /// counts evaluated so far and per-device volumes (empty with the set).
+  taskset::AnalysisMemo memo;
   std::uint64_t version = 0;  ///< monotone, bumped per mutation
 };
 
@@ -96,9 +111,12 @@ class AdmissionService {
   /// re-interpreting admitted state on the wrong platform.
   explicit AdmissionService(AdmissionConfig config);
 
-  /// Wait-free read of the current admitted state.
-  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+  /// The current admitted state.  Blocks at most for another thread's
+  /// pointer copy or swap, never for an analysis.
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const
+      HEDRA_EXCLUDES(snapshot_mutex_) {
+    util::MutexLock lock(snapshot_mutex_);
+    return snapshot_;
   }
 
   /// Runs the admission test for `task` joining the current set under
@@ -144,15 +162,23 @@ class AdmissionService {
   /// makes "journal before publish, one writer at a time" a compile-time
   /// fact instead of a comment.
   void publish(std::shared_ptr<const Snapshot> next)
-      HEDRA_REQUIRES(writer_mutex_) {
-    snapshot_.store(std::move(next), std::memory_order_release);
+      HEDRA_REQUIRES(writer_mutex_) HEDRA_EXCLUDES(snapshot_mutex_) {
+    {
+      util::MutexLock lock(snapshot_mutex_);
+      snapshot_.swap(next);
+    }
+    // `next` now holds the previous state: if no reader still holds it, it
+    // is freed here, outside the readers' lock.
   }
 
   AdmissionConfig config_;
   /// Serialises mutations; uncontended in the single-worker server.
   util::Mutex writer_mutex_;
   std::optional<Journal> journal_ HEDRA_GUARDED_BY(writer_mutex_);
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  /// Guards only the pointer below: taken for a copy or a swap, never
+  /// across an analysis or a journal write.
+  mutable util::Mutex snapshot_mutex_;
+  std::shared_ptr<const Snapshot> snapshot_ HEDRA_GUARDED_BY(snapshot_mutex_);
   /// Mirror of journal_->bytes_committed(), readable without the writer
   /// mutex so status_line() stays lock-free.
   std::atomic<std::uint64_t> journal_bytes_{0};

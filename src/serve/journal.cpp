@@ -50,6 +50,29 @@ void write_all(int fd, const void* data, std::size_t size,
   }
 }
 
+/// fsyncs the directory holding `path`, making a just-created entry for
+/// it durable: an fsync of the file alone persists its bytes, not the
+/// name that reaches them.
+void sync_parent_directory(const std::string& path) {
+  HEDRA_FAULT("serve.journal.dirsync");
+  const auto slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    throw Error("cannot open journal directory: " + dir + ": " +
+                std::strerror(errno));
+  }
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw Error("journal directory fsync failed: " + dir + ": " +
+                std::strerror(err));
+  }
+  ::close(fd);
+}
+
 }  // namespace
 
 Journal::Journal(std::string path) : path_(std::move(path)) {
@@ -60,6 +83,20 @@ Journal::Journal(std::string path) : path_(std::move(path)) {
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd_ < 0) {
     throw Error("cannot open journal: " + path_ + ": " + std::strerror(errno));
+  }
+  if (replay.clean_bytes == 0) {
+    // No record committed yet: the file is new, or an earlier start created
+    // it and failed before its first append.  Make its directory entry
+    // durable before any append is acknowledged, so a power loss cannot
+    // take the whole journal with it.  A journal holding records skips
+    // this: its entry was synced before its first record was.
+    try {
+      sync_parent_directory(path_);
+    } catch (...) {
+      ::close(fd_);
+      fd_ = -1;
+      throw;
+    }
   }
   size_ = replay.clean_bytes;
   if (replay.torn_tail) {

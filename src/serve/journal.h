@@ -27,7 +27,9 @@
 /// Fault seams (util/fault.h): `serve.journal.write` before the frame is
 /// assembled, `serve.journal.write.mid` between the header and payload
 /// writes (arming it with `@N!kill` produces a real torn frame for the
-/// crash-recovery test), `serve.journal.sync` before fsync.
+/// crash-recovery test), `serve.journal.sync` before fsync, and
+/// `serve.journal.dirsync` before the parent directory's fsync when the
+/// journal holds no record yet.
 
 #include <cstdint>
 #include <string>
@@ -47,7 +49,11 @@ struct JournalReplay {
 /// all writes on its worker thread.
 class Journal {
  public:
-  /// Opens (creating if absent) the journal at `path`.  If the file ends in
+  /// Opens (creating if absent) the journal at `path`.  While the journal
+  /// holds no record — it was just created, or a previous open failed
+  /// before the first append — the open also fsyncs the parent directory,
+  /// so the journal's name survives a power loss before any append is
+  /// acknowledged; if that sync fails the open throws.  If the file ends in
   /// a torn tail from a crashed writer, the tail is truncated away so new
   /// appends extend the clean prefix.  Throws hedra::Error on I/O failure
   /// or non-tail corruption.

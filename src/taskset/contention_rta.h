@@ -40,9 +40,25 @@
 /// m_i wastes no cores on later tasks.  Devices are NOT partitioned; they
 /// are exactly the contention the fixpoint charges for.  The set is
 /// admitted iff every task gets a feasible allocation within the m cores.
+///
+/// Incremental re-analysis.  Task i's verdict depends only on its seeds
+/// R_i(m), the (D_j, T_j, vol_{j,d}) of the tasks sharing one of its device
+/// classes, and the cores left when its turn comes.  contention_rta_update
+/// therefore re-solves, after one ADMIT (a task appended last) or one LEAVE,
+/// only the tasks that edit can change, and carries every other verdict
+/// over from the previous analysis.  Task i's previous verdict is reused
+/// iff (a) the edited task shares none of i's device classes, so i's
+/// competitor set is unchanged, and (b) i was schedulable at m_i and
+/// m_i <= the cores left before it now.  The rule is exact: the fixpoint
+/// at m reads nothing else, and the partition loop stops at the first
+/// feasible m, whose trials 1..m_i all replay identically.  Every other
+/// task is re-solved from its cached seeds; a seed is evaluated only for a
+/// core count the task has never tried.  contention_rta(set) is the same
+/// engine with no previous analysis.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,6 +112,9 @@ struct FixpointTelemetry {
   std::uint64_t iterations = 0;       ///< fixpoint iterations, all solves
   std::uint64_t seed_evals = 0;       ///< seed-bound (chain-walk) evaluations
   std::uint64_t truncated = 0;        ///< solves cut by budget or the cap
+  /// Tasks whose previous verdict was carried over without any solve (the
+  /// reuse rule of contention_rta_update); 0 for a from-scratch analysis.
+  std::uint64_t reused = 0;
 };
 
 /// Whole-set verdict.
@@ -109,6 +128,30 @@ struct ContentionAnalysis {
   FixpointTelemetry telemetry;  ///< where the analysis work went
 };
 
+/// Scalars one analysis leaves behind so the next analysis of an edited
+/// set can skip what the edit did not touch.  Never an AnalysisCache or a
+/// FlatDag: a seed the memo lacks is re-derived from the task's graph.
+/// Immutable once built, like the snapshot that holds it.
+struct AnalysisMemo {
+  std::size_t num_devices = 0;  ///< K of the platform analysed
+  /// vol_{i,d} of task i on device d, at [i·num_devices + d−1].
+  std::vector<graph::Time> volume;
+  /// Seed bounds R_i(m) for m = 1..seeds[i]->size(): every core count
+  /// evaluated for task i so far (null = none).  Shared between successive
+  /// memos; an entry is replaced only when its task evaluates a new count.
+  std::vector<std::shared_ptr<const std::vector<Frac>>> seeds;
+};
+
+/// The previous analysis an update may reuse, and the one edit since.
+struct PriorAnalysis {
+  static constexpr std::size_t kAppended = static_cast<std::size_t>(-1);
+  const ContentionAnalysis& analysis;  ///< of the previous set
+  const AnalysisMemo& memo;            ///< left by that analysis
+  /// Index, in the previous set, of the task that left; kAppended when one
+  /// task joined at the end of the set instead.
+  std::size_t removed = kAppended;
+};
+
 /// Runs the admission test.  Requires a validated, non-empty set.
 ///
 /// `budget` (nullable = unlimited) is consumed cooperatively — one unit per
@@ -118,6 +161,20 @@ struct ContentionAnalysis {
 /// analysis can under-admit, never over-admit.
 [[nodiscard]] ContentionAnalysis contention_rta(const TaskSet& set,
                                                 util::Budget* budget = nullptr);
+
+/// The same test, reusing `prior` (nullable = none: every task is solved,
+/// exactly as contention_rta) under the reuse rule in the file comment,
+/// and writing the state the next update needs into `*memo`.
+///
+/// Requires a non-empty `set` that is `prior`'s set with its one edit
+/// applied; tasks the previous set already held are not re-validated, so
+/// an appended task must have passed TaskSet::validate_task.  `prior`
+/// must be a complete analysis; `memo` must not alias `prior->memo`.
+/// `budget` is charged only for the seed evaluations and fixpoint
+/// iterations this call actually runs: a reused verdict costs nothing.
+[[nodiscard]] ContentionAnalysis contention_rta_update(
+    const TaskSet& set, const PriorAnalysis* prior, AnalysisMemo* memo,
+    util::Budget* budget = nullptr);
 
 /// The inflated response-time fixpoint of task `index` on `cores` dedicated
 /// host cores, ignoring the partitioning step — the building block
@@ -135,9 +192,10 @@ struct ContentionAnalysis {
                                   const TaskSet& set);
 
 /// explain()-style summary of where the analysis spent its work: solve and
-/// iteration totals, the int-path/frac-path split, and the truncation
-/// count.  Separate from explain() so the verdict text (golden-pinned by
-/// the tooling examples) is unchanged by the telemetry layer.
+/// iteration totals, the int-path/frac-path split, the truncation count
+/// and how many verdicts were reused.  Separate from explain() so the
+/// verdict text (golden-pinned by the tooling examples) is unchanged by the
+/// telemetry layer.
 [[nodiscard]] std::string explain_fixpoint(const ContentionAnalysis& analysis);
 
 }  // namespace hedra::taskset

@@ -1,7 +1,9 @@
 #include "taskset/taskset.h"
 
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "graph/dag_io.h"
 #include "util/strings.h"
@@ -21,32 +23,63 @@ graph::Time task_volume_on(const DagTask& task, graph::DeviceId device) {
   return volume;
 }
 
+void check_name(const DagTask& task) {
+  HEDRA_REQUIRE(!task.name().empty(), "task names must be non-empty");
+  HEDRA_REQUIRE(task.name().find_first_of(" \t\r\n") == std::string::npos,
+                "task name '" + task.name() + "' contains whitespace");
+}
+
+void check_fits(const Platform& platform, const DagTask& task) {
+  // Arena-backed fast path: the view's max device decides support without
+  // materialising.  On violation fall through to the Dag-based check so
+  // the message (which names the offending node) stays identical.
+  const auto num_devices =
+      static_cast<graph::DeviceId>(platform.num_devices());
+  if (task.has_flat_view() && task.flat_view().max_device() <= num_devices) {
+    return;
+  }
+  const auto issues = model::check_supports(platform, task.dag());
+  HEDRA_REQUIRE(issues.empty(), "task '" + task.name() +
+                                    "' does not fit the platform: " +
+                                    issues.front());
+}
+
 }  // namespace
 
 void TaskSet::validate() const {
   platform_.validate();
-  const auto num_devices =
-      static_cast<graph::DeviceId>(platform_.num_devices());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const DagTask& task = tasks_[i];
-    HEDRA_REQUIRE(!task.name().empty(), "task names must be non-empty");
-    HEDRA_REQUIRE(task.name().find_first_of(" \t\r\n") == std::string::npos,
-                  "task name '" + task.name() + "' contains whitespace");
-    for (std::size_t j = 0; j < i; ++j) {
-      HEDRA_REQUIRE(tasks_[j].name() != task.name(),
-                    "duplicate task name '" + task.name() + "'");
-    }
-    // Arena-backed fast path: the view's max device decides support without
-    // materialising.  On violation fall through to the Dag-based check so
-    // the message (which names the offending node) stays identical.
-    if (task.has_flat_view() && task.flat_view().max_device() <= num_devices) {
-      continue;
-    }
-    const auto issues = model::check_supports(platform_, task.dag());
-    HEDRA_REQUIRE(issues.empty(), "task '" + task.name() +
-                                      "' does not fit the platform: " +
-                                      issues.front());
+  // One ordered set of the names seen so far: the first failed insert is
+  // the first index whose name repeats an earlier one.
+  std::set<std::string_view> names;
+  for (const DagTask& task : tasks_) {
+    check_name(task);
+    const bool first_use = names.insert(task.name()).second;
+    HEDRA_REQUIRE(first_use, "duplicate task name '" + task.name() + "'");
+    check_fits(platform_, task);
   }
+}
+
+void TaskSet::validate_task(const DagTask& task) const {
+  check_name(task);
+  check_fits(platform_, task);
+}
+
+TaskSet TaskSet::with_appended(DagTask task) const {
+  std::vector<DagTask> tasks;
+  tasks.reserve(tasks_.size() + 1);
+  tasks.insert(tasks.end(), tasks_.begin(), tasks_.end());
+  tasks.push_back(std::move(task));
+  return TaskSet(platform_, std::move(tasks));
+}
+
+TaskSet TaskSet::without(std::size_t index) const {
+  HEDRA_REQUIRE(index < tasks_.size(), "task index out of range");
+  std::vector<DagTask> tasks;
+  tasks.reserve(tasks_.size() - 1);
+  const auto cut = tasks_.begin() + static_cast<std::ptrdiff_t>(index);
+  tasks.insert(tasks.end(), tasks_.begin(), cut);
+  tasks.insert(tasks.end(), cut + 1, tasks_.end());
+  return TaskSet(platform_, std::move(tasks));
 }
 
 Frac TaskSet::task_device_utilization(std::size_t i,
@@ -93,6 +126,7 @@ TaskSet TaskSet::from_text(const std::string& text) {
   };
 
   TaskSet set;
+  std::set<std::string> names;  // task names parsed so far
   bool have_platform = false;
   std::size_t i = 0;
   while (i < lines.size()) {
@@ -151,10 +185,8 @@ TaskSet TaskSet::from_text(const std::string& text) {
       if (!closed) fail(header_line, "task '" + name + "' has no endtask");
       // validate() would catch the duplicate too, but only after parsing
       // everything and without a line number; failing here names the line.
-      for (const DagTask& existing : set.tasks_) {
-        if (existing.name() == name) {
-          fail(header_line, "duplicate task name '" + name + "'");
-        }
+      if (!names.insert(name).second) {
+        fail(header_line, "duplicate task name '" + name + "'");
       }
       try {
         set.add(DagTask(graph::read_dag_text(dag_text), period, deadline,

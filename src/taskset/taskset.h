@@ -71,8 +71,25 @@ class TaskSet {
   /// Throws hedra::Error if the platform is invalid, any task name is
   /// empty, duplicated or contains whitespace (the round-trip format could
   /// not represent it), or some task places a node on a device the platform
-  /// does not provide (the violation names the task).
+  /// does not provide (the violation names the task).  A duplicate is
+  /// reported at the first index whose name repeats an earlier one.
+  /// O(n log n) in the number of tasks.
   void validate() const;
+
+  /// validate()'s per-task checks for one task about to join this set —
+  /// name non-empty and whitespace-free, every node on a device the
+  /// platform provides — with the same messages.  Neither the platform nor
+  /// name uniqueness is checked: the caller owns both (the admission
+  /// service validated the platform at start-up and rejects a duplicate
+  /// name before it gets here).
+  void validate_task(const DagTask& task) const;
+
+  /// A copy with `task` appended last.  Tasks are shared-handle copies
+  /// (model::DagTask), so this costs a handle per task, not a graph.
+  [[nodiscard]] TaskSet with_appended(DagTask task) const;
+
+  /// A copy without task `index`; later tasks move up one place.
+  [[nodiscard]] TaskSet without(std::size_t index) const;
 
   /// vol_d(G_i) / T_i — task i's exact utilisation of accelerator class d
   /// (d = 0 selects the host).  Device-TIME ticks; divide by n_d for a

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/contention_oracle.h"
 #include "common/fixtures.h"
 #include "exact/bnb.h"
 #include "obs/metrics.h"
@@ -155,6 +156,16 @@ TEST_F(ObsDeterminismTest, RtaTelemetryCountsThePaths) {
   const std::string text = taskset::explain_fixpoint(analysis);
   EXPECT_NE(text.find("solves="), std::string::npos);
   EXPECT_NE(text.find("int_path="), std::string::npos);
+  // A from-scratch analysis reuses nothing, and says so; its work counts
+  // are exactly those of the pre-incremental analysis.
+  EXPECT_EQ(t.reused, 0u);
+  const taskset::FixpointTelemetry oracle =
+      testing::oracle::contention_rta(set).telemetry;
+  EXPECT_EQ(t.fixpoint_solves, oracle.fixpoint_solves);
+  EXPECT_EQ(t.iterations, oracle.iterations);
+  EXPECT_EQ(t.seed_evals, oracle.seed_evals);
+  EXPECT_EQ(t.int_path, oracle.int_path);
+  EXPECT_NE(text.find(" reused=0\n"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -179,6 +179,19 @@ TEST(AdmissionServiceTest, JournalPlatformMismatchRefusesToServe) {
   EXPECT_THROW(AdmissionService service(other), Error);
 }
 
+TEST(AdmissionServiceTest, JournalDirectorySyncFaultRefusesToServe) {
+  // Creating the journal must make its directory entry durable before any
+  // append is acknowledged; if that fails the service does not start.
+  const std::string path = temp_journal("admission_dirsync.journal");
+  fault::configure("serve.journal.dirsync=@1");
+  EXPECT_THROW(AdmissionService service(config_with(path)), fault::Injected);
+  fault::reset();
+  AdmissionService service(config_with(path));
+  EXPECT_EQ(service.snapshot()->set.size(), 0u);
+  EXPECT_EQ(service.admit(easy_task("tau1")).decision, Decision::kAdmitted);
+  fault::clear_registry();
+}
+
 TEST(AdmissionServiceTest, JournalFaultAbortsBeforePublish) {
   const std::string path = temp_journal("admission_fault.journal");
   AdmissionService service(config_with(path));

@@ -159,6 +159,40 @@ TEST(JournalTest, InjectedWriteFaultRollsBackTheFrame) {
   EXPECT_EQ(replay.records[1], "after recovery");
 }
 
+TEST(JournalTest, CreatingTheJournalSyncsItsDirectoryOnce) {
+  const std::string path = temp_journal("dirsync.journal");
+  fault::clear_registry();
+  fault::configure("*=0");  // enabled, never fires: counts the hits
+  {
+    Journal journal(path);
+    journal.append("first");
+  }
+  EXPECT_EQ(fault::hits("serve.journal.dirsync"), 1u);
+  {
+    // An existing journal pays nothing extra at start-up.
+    Journal reopened(path);
+    reopened.append("second");
+  }
+  EXPECT_EQ(fault::hits("serve.journal.dirsync"), 1u);
+  fault::clear_registry();
+  EXPECT_EQ(Journal::replay(path).records.size(), 2u);
+}
+
+TEST(JournalTest, DirectorySyncFaultRefusesToOpen) {
+  const std::string path = temp_journal("dirsync_fault.journal");
+  fault::clear_registry();
+  fault::configure("serve.journal.dirsync=@1");
+  EXPECT_THROW(Journal journal(path), fault::Injected);
+  // The failed open left an empty file; it still holds no record, so the
+  // next open syncs the directory again before the first append.
+  fault::configure("*=0");
+  Journal journal(path);
+  EXPECT_EQ(fault::hits("serve.journal.dirsync"), 1u);
+  journal.append("durable");
+  fault::clear_registry();
+  EXPECT_EQ(Journal::replay(path).records.size(), 1u);
+}
+
 TEST(JournalTest, OversizedRecordRefused) {
   const std::string path = temp_journal("oversize.journal");
   Journal journal(path);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "graph/dag_io.h"
 #include "util/error.h"
@@ -45,6 +47,62 @@ TEST(TaskSetTest, RejectsDuplicateAndWhitespaceNames) {
   TaskSet spaced(Platform::parse("2:gpu"));
   spaced.add(DagTask(two_node_dag(6, 4, 1), 100, 80, "tau one"));
   EXPECT_THROW(spaced.validate(), Error);
+}
+
+std::string validate_error(const TaskSet& set) {
+  try {
+    set.validate();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TaskSetTest, DuplicateErrorNamesTheFirstRepeatingIndex) {
+  // Non-adjacent duplicates: index 3 ('b') is the first whose name repeats
+  // an earlier one, ahead of index 4 ('a') even though 'a' came first.
+  TaskSet set(Platform::parse("2:gpu"));
+  for (const char* name : {"a", "b", "c", "b", "a"}) {
+    set.add(DagTask(two_node_dag(6, 4, 1), 100, 80, name));
+  }
+  EXPECT_NE(validate_error(set).find("duplicate task name 'b'"),
+            std::string::npos)
+      << validate_error(set);
+}
+
+TEST(TaskSetTest, ValidateTaskMatchesValidateMessages) {
+  const TaskSet base = small_set();
+  const std::vector<DagTask> bad = {
+      DagTask(two_node_dag(6, 4, 1), 100, 80, "tau one"),
+      DagTask(two_node_dag(6, 4, 3), 100, 80, "tau3"),  // no device 3
+      DagTask(two_node_dag(6, 4, 1), 100, 80, ""),
+  };
+  for (const DagTask& task : bad) {
+    std::string single;
+    try {
+      base.validate_task(task);
+    } catch (const Error& e) {
+      single = e.what();
+    }
+    EXPECT_FALSE(single.empty()) << task.name();
+    EXPECT_EQ(single, validate_error(base.with_appended(task)));
+  }
+  EXPECT_NO_THROW(
+      base.validate_task(DagTask(two_node_dag(6, 4, 2), 100, 80, "tau3")));
+}
+
+TEST(TaskSetTest, WithAppendedAndWithoutShareTheTasks) {
+  const TaskSet base = small_set();
+  const TaskSet grown =
+      base.with_appended(DagTask(two_node_dag(1, 2, 1), 40, 40, "tau3"));
+  ASSERT_EQ(grown.size(), 3u);
+  EXPECT_EQ(&grown[0].dag(), &base[0].dag());  // handle copies, no graph copy
+  EXPECT_EQ(grown[2].name(), "tau3");
+  const TaskSet shrunk = grown.without(0);
+  ASSERT_EQ(shrunk.size(), 2u);
+  EXPECT_EQ(shrunk[0].name(), "tau2");
+  EXPECT_EQ(shrunk[1].name(), "tau3");
+  EXPECT_THROW((void)shrunk.without(2), Error);
 }
 
 TEST(TaskSetTest, UtilizationAccounting) {
