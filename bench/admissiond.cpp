@@ -18,7 +18,9 @@
 /// after the next ADMIT, so departures from the middle of the set — and
 /// the daemon's incremental re-analysis after them — are refereed too.
 /// PROVISIONAL answers are checked for fail-closedness only: they must
-/// never correspond to an applied admission.
+/// never correspond to an applied admission.  Each set's daemon keeps a
+/// journal in a temporary directory; once the set is served, the journal
+/// must replay to exactly the state the daemon ended in.
 ///
 /// `--faults '<spec>'` (or HEDRA_FAULTS in the environment) arms the fault
 /// registry first, so the smoke doubles as a fail-closed property check
@@ -26,10 +28,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -95,6 +99,42 @@ std::vector<SmokeOp> smoke_plan(const hedra::taskset::TaskSet& set,
   return ops;
 }
 
+/// A temporary directory for the smoke's journals, removed with its
+/// contents on destruction.
+class SmokeDir {
+ public:
+  SmokeDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "admissiond-smoke-XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      throw hedra::Error("smoke: cannot create a journal directory");
+    }
+    path_ = pattern;
+  }
+  SmokeDir(const SmokeDir&) = delete;
+  SmokeDir& operator=(const SmokeDir&) = delete;
+  ~SmokeDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// The daemon configuration of smoke set `index`: its platform and its own
+/// journal in `dir`.
+AdmissionConfig journalled(const hedra::taskset::TaskSet& set,
+                           const SmokeDir& dir, int index) {
+  AdmissionConfig config;
+  config.platform = set.platform();
+  config.journal_path = dir.path();
+  config.journal_path += "/set" + std::to_string(index) + ".journal";
+  return config;
+}
+
 /// Pipes `count` generated task sets through a fresh service's protocol
 /// loop and cross-checks every decision offline.  `arm_faults` runs once
 /// the scripts are planned, so injected faults reach the daemon but never
@@ -137,9 +177,12 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
   // armed faults live.  Outputs and final admitted names are collected so
   // the offline referee below can run with injection DISABLED (the referee
   // shares the instrumented analysis code; a fault firing inside the
-  // referee would corrupt the verdict it is refereeing).
+  // referee would corrupt the verdict it is refereeing).  Each set has its
+  // own journal, so the journal's fault seams are live too.
+  const SmokeDir dir;
   std::vector<std::string> outputs;
   std::vector<std::vector<std::string>> final_names;
+  std::vector<std::string> final_texts;
   for (int si = 0; si < count; ++si) {
     const hedra::taskset::TaskSet& set = sets[static_cast<std::size_t>(si)];
     std::ostringstream script;
@@ -157,18 +200,43 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
     std::istringstream in(script.str());
     std::ostringstream out;
 
-    AdmissionConfig config;
-    config.platform = set.platform();
-    AdmissionService service(config);
-    (void)hedra::serve::run_server(in, out, service, server_config);
-    outputs.push_back(out.str());
     std::vector<std::string> names;
-    for (const auto& task : service.snapshot()->set) {
-      names.push_back(task.name());
+    std::string final_text =
+        hedra::taskset::TaskSet(set.platform()).to_text();
+    std::optional<AdmissionService> service;
+    try {
+      service.emplace(journalled(set, dir, si));
+    } catch (const hedra::Error& e) {
+      // A fault in the service constructor (the journal's platform
+      // header): the set was never served, so nothing was acknowledged.
+      std::cerr << "smoke: set " << si << " never served: " << e.what()
+                << "\n";
     }
+    if (service.has_value()) {
+      (void)hedra::serve::run_server(in, out, *service, server_config);
+      for (const auto& task : service->snapshot()->set) {
+        names.push_back(task.name());
+      }
+      final_text = service->snapshot()->set.to_text();
+    }
+    outputs.push_back(out.str());
     final_names.push_back(std::move(names));
+    final_texts.push_back(std::move(final_text));
   }
   hedra::fault::reset();
+
+  // The journal of every set replays to the state the daemon ended in:
+  // what it acknowledged is durable, and a rolled-back record is gone.
+  for (int si = 0; si < count; ++si) {
+    const std::string& expected = final_texts[static_cast<std::size_t>(si)];
+    const AdmissionService replayed(
+        journalled(sets[static_cast<std::size_t>(si)], dir, si));
+    if (replayed.snapshot()->set.to_text() != expected) {
+      ++unsound;
+      std::cerr << "journal divergence: set " << si
+                << " replays to a state the daemon did not end in\n";
+    }
+  }
 
   // Phase 2: the offline referee replays the same script — admissions and
   // departures — with the unlimited exact-rational test.  The daemon's
@@ -326,6 +394,9 @@ int main(int argc, char** argv) {
       }
     };
 
+    // A cast of a negative capacity would make the queue unbounded, and a
+    // zero one would shed every request.
+    HEDRA_REQUIRE(*queue >= 1, "--queue must be >= 1");
     ServerConfig server_config;
     server_config.queue_capacity = static_cast<std::size_t>(*queue);
     server_config.request_deadline_sec = *deadline_ms / 1000.0;

@@ -10,7 +10,9 @@ The metrics check pins the v1 schema: every counter/gauge is an integer,
 every histogram has monotone boundaries, per-bucket counts summing to
 `count`, and a non-negative `sum_ns`.  --require-metric fails unless the
 named metric exists somewhere in the dump — CI uses it to pin the metric
-sites a PR promises.
+sites a PR promises.  A dump whose `serve.journal.syncs` exceeds its
+`serve.journal.appends` is rejected: every commit fsync covers at least one
+admit/leave record.
 
 The trace check pins the span contract of serve/server.cpp: every event is
 a complete ("X") event with non-negative ts/dur; spans sharing a tid (one
@@ -93,6 +95,14 @@ def check_metrics(path: str, required: list) -> int:
     for name in required:
         if name not in names:
             fail(f"required metric {name!r} is missing")
+
+    # Group commit: one fsync covers at least one admit/leave record, so a
+    # run syncing more often than it appends counted something twice.
+    syncs = dump["counters"].get("serve.journal.syncs", 0)
+    appends = dump["counters"].get("serve.journal.appends", 0)
+    if syncs > appends:
+        fail(f"serve.journal.syncs ({syncs}) exceeds "
+             f"serve.journal.appends ({appends})")
     return len(names)
 
 

@@ -7,9 +7,9 @@
 /// (parse -> queue-wait -> snapshot-build -> rta-fixpoint ->
 /// journal-append+fsync -> publish) stamped with util::monotonic_now_ns().
 /// A trace is owned by exactly one thread at a time — the reader thread
-/// builds the early spans, the queue hand-off (mutex-synchronised)
-/// publishes them to the worker, which finishes the tree and submits it to
-/// a Tracer ring buffer.  RequestTrace itself therefore takes NO locks;
+/// builds the early spans, queue hand-offs (mutex-synchronised) pass it to
+/// the worker and then the committer, which finishes the tree and submits
+/// it to a Tracer ring buffer.  RequestTrace itself therefore takes NO locks;
 /// only Tracer::submit()/snapshot() touch the annotated util::Mutex, off
 /// the analysis hot paths.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "analysis/analysis_cache.h"
 #include "graph/dag_io.h"
@@ -115,6 +116,9 @@ AdmissionService::AdmissionService(AdmissionConfig config)
                          std::memory_order_relaxed);
   }
 
+  util::MutexLock writer(writer_mutex_);
+  head_ = snapshot;
+  if (journal_.has_value()) head_seen_ = journal_->durable();
   util::MutexLock lock(snapshot_mutex_);
   snapshot_ = std::move(snapshot);
 }
@@ -122,19 +126,75 @@ AdmissionService::AdmissionService(AdmissionConfig config)
 AdmissionReply AdmissionService::admit(const model::DagTask& task,
                                        util::Deadline deadline,
                                        obs::RequestTrace* trace) {
-  AdmissionReply reply;
+  util::MutexLock writer(writer_mutex_);
+  StagedReply staged = stage_admit_locked(task, deadline, trace);
+  commit({&staged, 1});
+  return std::move(staged.reply);
+}
+
+AdmissionReply AdmissionService::leave(const std::string& name) {
+  util::MutexLock writer(writer_mutex_);
+  StagedReply staged = stage_leave_locked(name, nullptr);
+  commit({&staged, 1});
+  return std::move(staged.reply);
+}
+
+StagedReply AdmissionService::stage_admit(const model::DagTask& task,
+                                          util::Deadline deadline,
+                                          obs::RequestTrace* trace) {
+  util::MutexLock writer(writer_mutex_);
+  return stage_admit_locked(task, deadline, trace);
+}
+
+StagedReply AdmissionService::stage_leave(const std::string& name,
+                                          obs::RequestTrace* trace) {
+  util::MutexLock writer(writer_mutex_);
+  return stage_leave_locked(name, trace);
+}
+
+void AdmissionService::catch_up_head() {
+  if (!journal_.has_value() || journal_->era() == head_seen_.era) return;
+  util::MutexLock lock(commit_mutex_);
+  head_ = snapshot();
+  head_seen_ = journal_->durable();
+}
+
+void AdmissionService::advance_head(StagedReply& staged,
+                                    std::shared_ptr<const Snapshot> next,
+                                    const std::string& payload) {
+  // Journal BEFORE anyone can see the state: the record is written here,
+  // and commit() publishes `next` and releases the reply only once an
+  // fsync covers it, so a crash at any point replays to an acknowledged
+  // state, never to one the client was not told about.
+  if (journal_.has_value()) {
+    staged.journal_span = staged.trace != nullptr
+                              ? staged.trace->begin("journal-append+fsync")
+                              : -1;
+    staged.seen = journal_->write(payload, head_seen_.era);
+    head_seen_ = staged.seen;
+    HEDRA_METRIC("serve.journal.appends");
+  }
+  head_ = next;
+  staged.next = std::move(next);
+}
+
+StagedReply AdmissionService::stage_admit_locked(const model::DagTask& task,
+                                                 util::Deadline deadline,
+                                                 obs::RequestTrace* trace) {
+  catch_up_head();
+  StagedReply staged;
+  staged.seen = head_seen_;
+  staged.trace = trace;
+  AdmissionReply& reply = staged.reply;
   reply.task = task.name();
 
-  // One mutation at a time: the analysis below reads `current`, and the
-  // publish at the end must swap against exactly that state.
-  util::MutexLock writer(writer_mutex_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
+  const std::shared_ptr<const Snapshot> current = head_;
   for (const model::DagTask& existing : current->set) {
     if (existing.name() == task.name()) {
       reply.decision = Decision::kError;
       reply.detail = "task '" + task.name() + "' is already admitted";
-      tally_errors_.fetch_add(1, std::memory_order_relaxed);
-      return reply;
+      staged.rung = StagedReply::Rung::kError;
+      return staged;
     }
   }
 
@@ -147,8 +207,8 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
   } catch (const Error& e) {
     reply.decision = Decision::kError;
     reply.detail = e.what();
-    tally_errors_.fetch_add(1, std::memory_order_relaxed);
-    return reply;
+    staged.rung = StagedReply::Rung::kError;
+    return staged;
   }
   taskset::TaskSet candidate = current->set.with_appended(task);
   if (trace != nullptr) trace->end(build_span);
@@ -175,31 +235,16 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
 
     auto next = std::make_shared<Snapshot>();
     // The allocation fault seam: an injected failure here aborts the admit
-    // before anything is journalled or published.
+    // before anything is journalled or decided.
     HEDRA_FAULT("serve.snapshot.alloc");
     next->set = std::move(candidate);
     next->analysis = std::move(analysis);
     next->memo = std::move(memo);
     next->version = current->version + 1;
-    // Journal BEFORE publishing: a crash between the two replays to the
-    // state we are about to acknowledge, never to one the client was not
-    // told about and that was not proven schedulable.
-    if (journal_.has_value()) {
-      const int journal_span =
-          trace != nullptr ? trace->begin("journal-append+fsync") : -1;
-      journal_->append(std::string(kAdmitRecord) + task_to_text(task));
-      journal_bytes_.store(journal_->bytes_committed(),
-                           std::memory_order_relaxed);
-      if (trace != nullptr) trace->end(journal_span);
-      HEDRA_METRIC("serve.journal.appends");
-    }
-    const int publish_span =
-        trace != nullptr ? trace->begin("publish") : -1;
-    publish(std::move(next));
-    if (trace != nullptr) trace->end(publish_span);
-    tally_admitted_.fetch_add(1, std::memory_order_relaxed);
-    HEDRA_METRIC("serve.admit.admitted");
-    return reply;
+    advance_head(staged, std::move(next),
+                 std::string(kAdmitRecord) + task_to_text(task));
+    staged.rung = StagedReply::Rung::kAdmitted;
+    return staged;
   }
 
   if (analysis.outcome == util::Outcome::kBudgetExhausted) {
@@ -217,16 +262,14 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
                      " exceeds deadline " + std::to_string(task.deadline()) +
                      " on all " + std::to_string(config_.platform.cores) +
                      " cores (proof survives the budget cut)";
-      tally_rejected_seed_.fetch_add(1, std::memory_order_relaxed);
-      HEDRA_METRIC("serve.admit.rejected_seed");
-      return reply;
+      staged.rung = StagedReply::Rung::kRejectedSeed;
+      return staged;
     }
     reply.decision = Decision::kProvisional;
     reply.outcome = util::Outcome::kBudgetExhausted;
     reply.detail = "analysis budget exhausted before a proof; not admitted";
-    tally_provisional_.fetch_add(1, std::memory_order_relaxed);
-    HEDRA_METRIC("serve.admit.provisional");
-    return reply;
+    staged.rung = StagedReply::Rung::kProvisional;
+    return staged;
   }
 
   reply.decision = Decision::kRejected;
@@ -238,35 +281,26 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
       break;
     }
   }
-  tally_rejected_exact_.fetch_add(1, std::memory_order_relaxed);
-  HEDRA_METRIC("serve.admit.rejected_exact");
-  return reply;
+  staged.rung = StagedReply::Rung::kRejectedExact;
+  return staged;
 }
 
-AdmissionService::LadderTallies AdmissionService::ladder_tallies()
-    const noexcept {
-  LadderTallies t;
-  t.admitted = tally_admitted_.load(std::memory_order_relaxed);
-  t.rejected_exact = tally_rejected_exact_.load(std::memory_order_relaxed);
-  t.rejected_seed = tally_rejected_seed_.load(std::memory_order_relaxed);
-  t.provisional = tally_provisional_.load(std::memory_order_relaxed);
-  t.errors = tally_errors_.load(std::memory_order_relaxed);
-  return t;
-}
+StagedReply AdmissionService::stage_leave_locked(const std::string& name,
+                                                 obs::RequestTrace* trace) {
+  catch_up_head();
+  StagedReply staged;
+  staged.seen = head_seen_;
+  staged.trace = trace;
+  staged.reply.task = name;
 
-AdmissionReply AdmissionService::leave(const std::string& name) {
-  AdmissionReply reply;
-  reply.task = name;
-
-  util::MutexLock writer(writer_mutex_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
+  const std::shared_ptr<const Snapshot> current = head_;
   const auto it = std::find_if(
       current->set.begin(), current->set.end(),
       [&](const model::DagTask& task) { return task.name() == name; });
   if (it == current->set.end()) {
-    reply.decision = Decision::kError;
-    reply.detail = "no admitted task named '" + name + "'";
-    return reply;
+    staged.reply.decision = Decision::kError;
+    staged.reply.detail = "no admitted task named '" + name + "'";
+    return staged;
   }
   const auto removed =
       static_cast<std::size_t>(it - current->set.begin());
@@ -285,16 +319,111 @@ AdmissionReply AdmissionService::leave(const std::string& name) {
         taskset::contention_rta_update(next->set, &prior, &next->memo);
   }
   next->version = current->version + 1;
+  advance_head(staged, std::move(next), std::string(kLeavePrefix) + name);
+  staged.reply.decision = Decision::kOk;
+  staged.reply.detail = "task '" + name + "' left";
+  return staged;
+}
+
+void AdmissionService::commit(std::span<StagedReply> batch,
+                              const std::function<void(std::size_t)>& release) {
+  util::MutexLock lock(commit_mutex_);
+  // Commits follow decision order, so a position at or below the durable
+  // one is durable for good, and one from an older era that is not was
+  // discarded by a rollback (no later record has been synced yet).  Check
+  // that before the fsync below moves the durable position on.
+  std::vector<bool> lost(batch.size(), false);
   if (journal_.has_value()) {
-    journal_->append(std::string(kLeavePrefix) + name);
-    journal_bytes_.store(journal_->bytes_committed(),
-                         std::memory_order_relaxed);
-    HEDRA_METRIC("serve.journal.appends");
+    const JournalPosition durable = journal_->durable();
+    JournalPosition upto = durable;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const JournalPosition& seen = batch[i].seen;
+      if (seen.bytes <= durable.bytes) continue;
+      if (seen.era != durable.era) {
+        lost[i] = true;
+      } else {
+        upto.bytes = std::max(upto.bytes, seen.bytes);
+      }
+    }
+    if (upto.bytes > durable.bytes) {
+      // One fsync for every record the batch wrote.
+      try {
+        journal_->sync(upto);
+        HEDRA_METRIC("serve.journal.syncs");
+      } catch (const std::exception&) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (batch[i].seen.bytes > durable.bytes) lost[i] = true;
+        }
+      }
+      journal_bytes_.store(journal_->bytes_committed(),
+                           std::memory_order_relaxed);
+    }
   }
-  publish(std::move(next));
-  reply.decision = Decision::kOk;
-  reply.detail = "task '" + name + "' left";
-  return reply;
+
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    StagedReply& staged = batch[i];
+    obs::RequestTrace* trace = staged.trace;
+    if (trace != nullptr && staged.journal_span >= 0) {
+      trace->end(staged.journal_span);
+    }
+    if (lost[i]) {
+      // The decision saw a record the rollback discarded: it is not
+      // applied, whatever it decided.
+      AdmissionReply error;
+      error.task = std::move(staged.reply.task);
+      error.detail = "journal rollback: " + journal_->last_error();
+      staged.reply = std::move(error);
+      staged.next.reset();
+      if (staged.rung != StagedReply::Rung::kNone) {
+        staged.rung = StagedReply::Rung::kError;
+      }
+    }
+    if (staged.next != nullptr) {
+      const int publish_span =
+          trace != nullptr ? trace->begin("publish") : -1;
+      publish(staged.next);
+      if (trace != nullptr) trace->end(publish_span);
+    }
+    tally(staged.rung);
+    if (release) release(i);
+  }
+}
+
+void AdmissionService::tally(StagedReply::Rung rung) {
+  switch (rung) {
+    case StagedReply::Rung::kNone:
+      return;
+    case StagedReply::Rung::kAdmitted:
+      tally_admitted_.fetch_add(1, std::memory_order_relaxed);
+      HEDRA_METRIC("serve.admit.admitted");
+      return;
+    case StagedReply::Rung::kRejectedExact:
+      tally_rejected_exact_.fetch_add(1, std::memory_order_relaxed);
+      HEDRA_METRIC("serve.admit.rejected_exact");
+      return;
+    case StagedReply::Rung::kRejectedSeed:
+      tally_rejected_seed_.fetch_add(1, std::memory_order_relaxed);
+      HEDRA_METRIC("serve.admit.rejected_seed");
+      return;
+    case StagedReply::Rung::kProvisional:
+      tally_provisional_.fetch_add(1, std::memory_order_relaxed);
+      HEDRA_METRIC("serve.admit.provisional");
+      return;
+    case StagedReply::Rung::kError:
+      tally_errors_.fetch_add(1, std::memory_order_relaxed);
+      return;
+  }
+}
+
+AdmissionService::LadderTallies AdmissionService::ladder_tallies()
+    const noexcept {
+  LadderTallies t;
+  t.admitted = tally_admitted_.load(std::memory_order_relaxed);
+  t.rejected_exact = tally_rejected_exact_.load(std::memory_order_relaxed);
+  t.rejected_seed = tally_rejected_seed_.load(std::memory_order_relaxed);
+  t.provisional = tally_provisional_.load(std::memory_order_relaxed);
+  t.errors = tally_errors_.load(std::memory_order_relaxed);
+  return t;
 }
 
 std::string AdmissionService::status_line() const {

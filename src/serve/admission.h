@@ -22,32 +22,48 @@
 ///
 ///  2. *RCU-style snapshots.*  The admitted state is an immutable Snapshot
 ///     behind a shared_ptr; readers (status queries, concurrent
-///     inspectors) copy that pointer under a lock held only for the copy,
-///     while the single writer builds a successor outside any reader's
-///     way and swaps it in after the journal commit.  (A plain mutex, not
-///     std::atomic<std::shared_ptr>: the latter's load in GCC 12's
-///     libstdc++ unlocks with a relaxed store, which races with the next
-///     swap under the C++ memory model and fails ThreadSanitizer.)  The
-///     successor's analysis is incremental (taskset::contention_rta_update):
-///     an ADMIT or LEAVE re-solves only the tasks sharing a device class
-///     with the task that joined or left, plus any task whose cores no
-///     longer fit, and carries every other verdict over.
+///     inspectors) copy that pointer under a lock held only for the copy.
+///     (A plain mutex, not std::atomic<std::shared_ptr>: the latter's load
+///     in GCC 12's libstdc++ unlocks with a relaxed store, which races with
+///     the next swap under the C++ memory model and fails
+///     ThreadSanitizer.)  Each decision's successor state is analysed
+///     incrementally (taskset::contention_rta_update): an ADMIT or LEAVE
+///     re-solves only the tasks sharing a device class with the task that
+///     joined or left, plus any task whose cores no longer fit, and
+///     carries every other verdict over.
 ///
-///  3. *Crash safety.*  Every state change is journalled (serve/journal.h)
-///     BEFORE the snapshot swap, so a restart replays admit/leave records
-///     to bit-identical admitted state: to_text() of the recovered set
-///     equals to_text() of the pre-crash set.
+///  3. *Crash safety with group commit.*  A mutation is two steps.
+///     Deciding (stage_admit()/stage_leave()) analyses the request against
+///     the private *head* state — the newest decided state, which may run
+///     ahead of what is durable — and writes its journal record
+///     (serve/journal.h) without fsync.  Committing (commit()) fsyncs once
+///     for every record a batch of decisions wrote, then publishes each
+///     decided state and counts each reply, in decision order.  So no
+///     snapshot and no reply ever shows a state whose record is not
+///     durable, and a restart replays admit/leave records to bit-identical
+///     admitted state: to_text() of the recovered set equals to_text() of
+///     the pre-crash set.  If a write or an fsync fails, the journal rolls
+///     back to its last durable byte; every decision that saw a discarded
+///     record commits as ERROR, and the next decision starts again from
+///     the published state.  admit()/leave() are stage plus commit on the
+///     calling thread, so they are durable when they return.
 ///
-/// Thread model: mutations (admit()/leave()) serialise on an internal
-/// writer mutex — the journal handle and the snapshot-swap publish path are
-/// machine-checked (Clang thread-safety analysis) to only ever run under
-/// it; snapshot() copies one pointer under its own short lock, safe from
-/// any thread and never blocked by an analysis in progress.
+/// Thread model: deciding serialises on the writer mutex, which guards the
+/// head state; committing serialises on the commit mutex, which orders
+/// publishes against head resets.  The admission server decides on its
+/// worker thread and commits on a committer thread, so the worker never
+/// waits for an fsync; direct admit()/leave() calls do both in turn.
+/// snapshot() copies one pointer under its own short lock, safe from any
+/// thread and never blocked by an analysis or an fsync.  While run_server
+/// drives a service, mutate it only through the server: commits must
+/// follow decision order.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "obs/trace.h"
@@ -82,7 +98,8 @@ struct Snapshot {
   /// What the next ADMIT or LEAVE reuses of `analysis`: seeds at the core
   /// counts evaluated so far and per-device volumes (empty with the set).
   taskset::AnalysisMemo memo;
-  std::uint64_t version = 0;  ///< monotone, bumped per mutation
+  /// Bumped per mutation; a journal rollback returns to the durable one.
+  std::uint64_t version = 0;
 };
 
 struct AdmissionConfig {
@@ -103,6 +120,32 @@ struct AdmissionReply {
   Frac response;       ///< admitted task's proven response bound
 };
 
+/// A decided request whose reply waits for commit(): it may not be sent,
+/// and `next` not published, before every record the decision saw is
+/// durable.
+struct StagedReply {
+  AdmissionReply reply;
+  /// The head state after the decision; null when it changed nothing.
+  std::shared_ptr<const Snapshot> next;
+  /// The journal just after the newest record the decision saw, its own
+  /// included (era 0, 0 bytes without a journal).
+  JournalPosition seen;
+  /// The ladder rung the reply counts toward once committed.
+  enum class Rung : std::uint8_t {
+    kNone,  ///< not an ADMIT (LEAVE, status and protocol replies)
+    kAdmitted,
+    kRejectedExact,
+    kRejectedSeed,
+    kProvisional,
+    kError,
+  };
+  Rung rung = Rung::kNone;
+  /// The request's trace and its open journal span, which commit() closes
+  /// once the fsync covering the record returns (-1: no record written).
+  obs::RequestTrace* trace = nullptr;
+  int journal_span = -1;
+};
+
 class AdmissionService {
  public:
   /// Opens (and replays) the journal, reconstructing the admitted state.
@@ -120,20 +163,47 @@ class AdmissionService {
   }
 
   /// Runs the admission test for `task` joining the current set under
-  /// `deadline`.  See the degradation ladder in the file comment.  When
-  /// `trace` is non-null the phases are recorded as spans (snapshot-build,
-  /// rta-fixpoint, journal-append+fsync, publish).
+  /// `deadline` and commits the decision: durable when it returns.  See
+  /// the degradation ladder in the file comment.  When `trace` is
+  /// non-null the phases are recorded as spans (snapshot-build,
+  /// rta-fixpoint, journal-append+fsync, publish).  Throws what
+  /// stage_admit() throws.
   [[nodiscard]] AdmissionReply admit(const model::DagTask& task,
                                      util::Deadline deadline = {},
                                      obs::RequestTrace* trace = nullptr)
-      HEDRA_EXCLUDES(writer_mutex_);
+      HEDRA_EXCLUDES(writer_mutex_, commit_mutex_);
 
-  /// Removes a previously admitted task.
+  /// Removes a previously admitted task, durably.
   [[nodiscard]] AdmissionReply leave(const std::string& name)
-      HEDRA_EXCLUDES(writer_mutex_);
+      HEDRA_EXCLUDES(writer_mutex_, commit_mutex_);
+
+  /// Decides an ADMIT against the head state and writes its journal
+  /// record without fsync; the reply is final only after commit().
+  /// Throws on an injected fault or a failed journal write (the journal
+  /// then rolls back, and nothing is decided).
+  [[nodiscard]] StagedReply stage_admit(const model::DagTask& task,
+                                        util::Deadline deadline = {},
+                                        obs::RequestTrace* trace = nullptr)
+      HEDRA_EXCLUDES(writer_mutex_, commit_mutex_);
+
+  /// Decides a LEAVE; see stage_admit().
+  [[nodiscard]] StagedReply stage_leave(const std::string& name,
+                                        obs::RequestTrace* trace = nullptr)
+      HEDRA_EXCLUDES(writer_mutex_, commit_mutex_);
+
+  /// Commits decided requests, which must come in decision order and each
+  /// exactly once: one fsync covers every record they saw, then, per
+  /// request in order, the reply is final — its state published and its
+  /// rung counted, or, when a rollback discarded a record it saw, turned
+  /// into ERROR and not applied — and `release(i)` runs for batch[i]
+  /// before the next request is committed.  Never throws on a journal
+  /// failure.
+  void commit(std::span<StagedReply> batch,
+              const std::function<void(std::size_t)>& release = {})
+      HEDRA_EXCLUDES(commit_mutex_);
 
   /// How often each rung of the degradation ladder answered (relaxed
-  /// tallies; see the ladder in the file comment).
+  /// tallies of committed replies; see the ladder in the file comment).
   struct LadderTallies {
     std::uint64_t admitted = 0;        ///< complete exact proof, admitted
     std::uint64_t rejected_exact = 0;  ///< complete exact proof, rejected
@@ -143,7 +213,8 @@ class AdmissionService {
   };
   [[nodiscard]] LadderTallies ladder_tallies() const noexcept;
 
-  /// Journal bytes durably committed so far (0 without a journal).
+  /// Journal bytes durably committed as of the last commit (0 without a
+  /// journal).
   [[nodiscard]] std::uint64_t journal_bytes() const noexcept {
     return journal_bytes_.load(std::memory_order_relaxed);
   }
@@ -157,12 +228,34 @@ class AdmissionService {
   }
 
  private:
+  StagedReply stage_admit_locked(const model::DagTask& task,
+                                 util::Deadline deadline,
+                                 obs::RequestTrace* trace)
+      HEDRA_REQUIRES(writer_mutex_) HEDRA_EXCLUDES(commit_mutex_);
+  StagedReply stage_leave_locked(const std::string& name,
+                                 obs::RequestTrace* trace)
+      HEDRA_REQUIRES(writer_mutex_) HEDRA_EXCLUDES(commit_mutex_);
+
+  /// Writes `payload` as the staged decision's journal record and makes
+  /// `next` the head state.
+  void advance_head(StagedReply& staged, std::shared_ptr<const Snapshot> next,
+                    const std::string& payload)
+      HEDRA_REQUIRES(writer_mutex_);
+
+  /// After a journal rollback the head holds decisions whose records are
+  /// gone: restart it from the published state, which is exactly the
+  /// durable one whenever no commit is running.
+  void catch_up_head() HEDRA_REQUIRES(writer_mutex_)
+      HEDRA_EXCLUDES(commit_mutex_);
+
+  /// Counts a committed reply on its ladder rung.
+  void tally(StagedReply::Rung rung);
+
   /// The RCU publish: readers holding the previous shared_ptr keep a valid
-  /// snapshot; new readers see `next`.  Requiring the writer mutex here
-  /// makes "journal before publish, one writer at a time" a compile-time
-  /// fact instead of a comment.
+  /// snapshot; new readers see `next`.  Requiring the commit mutex makes
+  /// "durable before published" a compile-time fact instead of a comment.
   void publish(std::shared_ptr<const Snapshot> next)
-      HEDRA_REQUIRES(writer_mutex_) HEDRA_EXCLUDES(snapshot_mutex_) {
+      HEDRA_REQUIRES(commit_mutex_) HEDRA_EXCLUDES(snapshot_mutex_) {
     {
       util::MutexLock lock(snapshot_mutex_);
       snapshot_.swap(next);
@@ -172,15 +265,24 @@ class AdmissionService {
   }
 
   AdmissionConfig config_;
-  /// Serialises mutations; uncontended in the single-worker server.
+  /// Serialises decisions; uncontended in the single-worker server.
   util::Mutex writer_mutex_;
-  std::optional<Journal> journal_ HEDRA_GUARDED_BY(writer_mutex_);
+  /// The newest decided state, where the journal stood after its last
+  /// record, and the journal era it was decided in.
+  std::shared_ptr<const Snapshot> head_ HEDRA_GUARDED_BY(writer_mutex_);
+  JournalPosition head_seen_ HEDRA_GUARDED_BY(writer_mutex_);
+  /// Serialises commits and head resets: held from a batch's fsync to its
+  /// last publish, so whoever holds it sees the published state equal to
+  /// the journal's durable one.  Taken after writer_mutex_ when both are.
+  util::Mutex commit_mutex_;
+  /// Internally synchronised; engaged by the constructor only.
+  std::optional<Journal> journal_;
   /// Guards only the pointer below: taken for a copy or a swap, never
   /// across an analysis or a journal write.
   mutable util::Mutex snapshot_mutex_;
   std::shared_ptr<const Snapshot> snapshot_ HEDRA_GUARDED_BY(snapshot_mutex_);
-  /// Mirror of journal_->bytes_committed(), readable without the writer
-  /// mutex so status_line() stays lock-free.
+  /// Mirror of journal_->bytes_committed() as of the last commit, readable
+  /// without a lock so status_line() stays lock-free.
   std::atomic<std::uint64_t> journal_bytes_{0};
   std::atomic<std::uint64_t> tally_admitted_{0};
   std::atomic<std::uint64_t> tally_rejected_exact_{0};

@@ -3,8 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include "util/crc32.h"
 #include "util/error.h"
@@ -19,6 +21,9 @@ constexpr std::size_t kHeaderSize = 12;        // magic + length + crc
 /// Payloads beyond this are a corrupt length field, not a record — the cap
 /// keeps replay from allocating gigabytes off four garbage bytes.
 constexpr std::uint32_t kMaxPayload = 64u * 1024 * 1024;
+/// The length of a record write() refused to put on a discarded history.
+constexpr std::uint64_t kNeverDurable =
+    std::numeric_limits<std::uint64_t>::max();
 
 void put_u32(unsigned char* out, std::uint32_t value) {
   out[0] = static_cast<unsigned char>(value & 0xFF);
@@ -73,6 +78,11 @@ void sync_parent_directory(const std::string& path) {
   ::close(fd);
 }
 
+/// The error for a position a rollback discarded.
+std::string discarded(const std::string& why) {
+  return "journal rollback discarded the record (" + why + ")";
+}
+
 }  // namespace
 
 Journal::Journal(std::string path) : path_(std::move(path)) {
@@ -98,7 +108,8 @@ Journal::Journal(std::string path) : path_(std::move(path)) {
       throw;
     }
   }
-  size_ = replay.clean_bytes;
+  util::MutexLock lock(mutex_);
+  size_ = durable_ = replay.clean_bytes;
   if (replay.torn_tail) {
     if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
       const int err = errno;
@@ -120,8 +131,18 @@ Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Journal::append(std::string_view payload) {
-  HEDRA_FAULT("serve.journal.write");
+void Journal::rollback(const std::string& why) {
+  // If even the truncation fails the file still replays correctly up to
+  // the torn bytes, and the next write overwrites them from the durable
+  // length on; the original error is the one worth propagating.
+  (void)::ftruncate(fd_, static_cast<off_t>(durable_));
+  (void)::lseek(fd_, static_cast<off_t>(durable_), SEEK_SET);
+  size_ = durable_;
+  ++era_;
+  last_error_ = why;
+}
+
+JournalPosition Journal::write(std::string_view payload, std::uint64_t era) {
   if (payload.size() > kMaxPayload) {
     throw Error("journal record exceeds the " +
                 std::to_string(kMaxPayload) + "-byte payload cap");
@@ -131,29 +152,74 @@ void Journal::append(std::string_view payload) {
   put_u32(header + 4, static_cast<std::uint32_t>(payload.size()));
   put_u32(header + 8, util::crc32(payload));
 
-  const std::uint64_t rollback = size_;
+  util::MutexLock lock(mutex_);
+  if (era != era_) return JournalPosition{era, kNeverDurable};
   try {
+    HEDRA_FAULT("serve.journal.write");
     write_all(fd_, header, kHeaderSize, path_);
     // The seam between the two writes of one frame: a kill here leaves a
     // header with no payload on disk — the torn tail replay() tolerates.
     HEDRA_FAULT("serve.journal.write.mid");
     write_all(fd_, payload.data(), payload.size(), path_);
-    HEDRA_FAULT("serve.journal.sync");
-    if (::fsync(fd_) != 0) {
-      throw Error("journal fsync failed: " + path_ + ": " +
-                  std::strerror(errno));
-    }
-  } catch (...) {
-    // All-or-nothing: put the file back exactly as it was.  If even the
-    // rollback fails the file still replays correctly (torn tail), but the
-    // original error is the one worth propagating.
-    if (::ftruncate(fd_, static_cast<off_t>(rollback)) == 0) {
-      ::lseek(fd_, static_cast<off_t>(rollback), SEEK_SET);
-    }
+  } catch (const std::exception& e) {
+    rollback(e.what());
     throw;
   }
   size_ += kHeaderSize + payload.size();
   ++records_written_;
+  return JournalPosition{era_, size_};
+}
+
+void Journal::sync(const JournalPosition& upto) {
+  std::uint64_t era = 0;
+  {
+    util::MutexLock lock(mutex_);
+    if (upto.era != era_) throw Error(discarded(last_error_));
+    if (upto.bytes <= durable_) return;
+    era = era_;
+  }
+  // The fsync runs unlocked, so the writer keeps appending meanwhile; it
+  // covers at least every byte written before it started, `upto` included.
+  std::string failure;
+  try {
+    HEDRA_FAULT("serve.journal.sync");
+    if (::fsync(fd_) != 0) {
+      failure = "journal fsync failed: " + path_ + ": " + std::strerror(errno);
+    }
+  } catch (const std::exception& e) {
+    util::MutexLock lock(mutex_);
+    if (era_ == era) rollback(e.what());
+    throw;
+  }
+  util::MutexLock lock(mutex_);
+  // A failed write rolled back meanwhile, truncating what this fsync
+  // covered.
+  if (era_ != era) throw Error(discarded(last_error_));
+  if (!failure.empty()) {
+    rollback(failure);
+    throw Error(failure);
+  }
+  durable_ = std::max(durable_, upto.bytes);
+}
+
+JournalPosition Journal::durable() const {
+  util::MutexLock lock(mutex_);
+  return JournalPosition{era_, durable_};
+}
+
+std::uint64_t Journal::era() const {
+  util::MutexLock lock(mutex_);
+  return era_;
+}
+
+std::string Journal::last_error() const {
+  util::MutexLock lock(mutex_);
+  return last_error_;
+}
+
+std::uint64_t Journal::records_written() const {
+  util::MutexLock lock(mutex_);
+  return records_written_;
 }
 
 JournalReplay Journal::replay(const std::string& path) {

@@ -60,10 +60,14 @@ struct Request {
   graph::Time period = 0;      ///< admit only
   graph::Time deadline = 0;    ///< admit only
   std::string dag_text;        ///< admit only: dag_io lines, no endtask
-  std::string error;           ///< kInvalid: what was wrong
+  /// admit only: `dag_text` parsed into the task by the server's reader
+  /// thread; empty when the body did not parse (reason in `error`).
+  std::optional<model::DagTask> task;
+  std::string error;           ///< kInvalid / unparsed body: what was wrong
   /// The request's span tree when the server traces (server.h); built by
-  /// the reader thread, handed to the worker through the queue (the queue
-  /// mutex orders the hand-off), finished and submitted by the worker.
+  /// the reader thread, handed to the worker and then the committer
+  /// through queues (their mutexes order the hand-offs), finished and
+  /// submitted by the committer.
   std::unique_ptr<obs::RequestTrace> trace;
   int queue_wait_span = -1;  ///< open "queue-wait" span for the worker
 };

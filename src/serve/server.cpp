@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "graph/dag_io.h"
 #include "obs/metrics.h"
@@ -36,56 +37,74 @@ const char* verb_name(Request::Kind kind) {
   return "INVALID";
 }
 
-/// Executes one parsed request against the service.  Never throws: every
-/// failure — parse residue, analysis faults, journal errors — becomes an
-/// ERROR reply, because a service survives bad requests and bad luck; only
-/// the transport ending stops it.
-AdmissionReply execute(AdmissionService& service, const Request& request,
-                       const ServerConfig& config,
-                       obs::RequestTrace* trace) {
-  AdmissionReply reply;
+/// The ERROR detail for a failure: a hedra::Error verbatim, anything else
+/// marked as internal.
+std::string error_detail(const std::exception& e) {
+  if (dynamic_cast<const Error*>(&e) != nullptr) return e.what();
+  return std::string("internal error: ") + e.what();
+}
+
+/// Parses an ADMIT body into the request's task, on the reader thread.  A
+/// body that does not parse leaves `task` empty with the reason in
+/// `error`, which the worker answers as `ERROR <name> <reason>`.
+void parse_body(Request& request) {
+  try {
+    request.task.emplace(graph::read_dag_text(request.dag_text),
+                         request.period, request.deadline, request.name);
+  } catch (const std::exception& e) {
+    request.error = error_detail(e);
+  }
+}
+
+/// Decides one request on the worker.  Never throws: every failure —
+/// parse residue, analysis faults, journal errors — becomes an ERROR
+/// reply, because a service survives bad requests and bad luck; only the
+/// transport ending stops it.  STATUS, METRICS and QUIT are answered when
+/// released, so they see every earlier request committed.
+StagedReply decide(AdmissionService& service, const Request& request,
+                   const ServerConfig& config, obs::RequestTrace* trace) {
+  StagedReply staged;  // an ERROR reply until decided otherwise
+  AdmissionReply& reply = staged.reply;
   try {
     switch (request.kind) {
       case Request::Kind::kInvalid:
-        reply.decision = Decision::kError;
         reply.detail = request.error;
-        return reply;
-      case Request::Kind::kStatus:
-      case Request::Kind::kMetrics:  // handled by the worker loop
-        reply.decision = Decision::kOk;
-        reply.detail = service.status_line();
-        return reply;
-      case Request::Kind::kLeave:
-        return service.leave(request.name);
+        return staged;
       case Request::Kind::kAdmit: {
-        model::DagTask task(graph::read_dag_text(request.dag_text),
-                            request.period, request.deadline, request.name);
+        if (!request.task.has_value()) {
+          reply.task = request.name;
+          reply.detail = request.error;
+          return staged;
+        }
         const util::Deadline deadline =
             config.request_deadline_sec > 0.0
                 ? util::Deadline::after_seconds(config.request_deadline_sec)
                 : util::Deadline::never();
-        return service.admit(task, deadline, trace);
+        return service.stage_admit(*request.task, deadline, trace);
       }
+      case Request::Kind::kLeave:
+        return service.stage_leave(request.name, trace);
+      case Request::Kind::kStatus:
+      case Request::Kind::kMetrics:
       case Request::Kind::kQuit:
-        reply.decision = Decision::kOk;
-        reply.detail = "bye";
-        return reply;
+        return staged;
     }
-  } catch (const Error& e) {
-    reply.decision = Decision::kError;
-    reply.task = request.name;
-    reply.detail = e.what();
-    return reply;
   } catch (const std::exception& e) {
-    reply.decision = Decision::kError;
     reply.task = request.name;
-    reply.detail = std::string("internal error: ") + e.what();
-    return reply;
+    reply.detail = error_detail(e);
+    return staged;
   }
-  reply.decision = Decision::kError;
   reply.detail = "unhandled request kind";
-  return reply;
+  return staged;
 }
+
+/// A request the worker has decided and the committer has yet to release.
+struct Pending {
+  Request::Kind kind = Request::Kind::kInvalid;
+  std::string name;
+  StagedReply staged;
+  std::unique_ptr<obs::RequestTrace> trace;
+};
 
 /// Trace ids are process-global, not per-run_server: one Tracer often
 /// outlives several server loops (the smoke harness runs one per task
@@ -106,8 +125,14 @@ struct SharedOut {
 
 ServerStats run_server(std::istream& in, std::ostream& out,
                        AdmissionService& service, const ServerConfig& config) {
+  HEDRA_REQUIRE(config.queue_capacity >= 1,
+                "the request queue needs a capacity of at least 1");
   ServerStats stats;
   BoundedQueue<Request> queue(config.queue_capacity);
+  // Decided replies waiting for the fsync that covers them: at most a
+  // queue's worth, so a slow disk backs up into the request queue and the
+  // reader sheds, as under any other overload.
+  BoundedQueue<Pending> decided(config.queue_capacity);
   SharedOut shared_out(out);
   std::atomic<std::uint64_t> shed_queue_full{0};
   std::atomic<std::uint64_t> shed_fault{0};
@@ -129,6 +154,7 @@ ServerStats run_server(std::istream& in, std::ostream& out,
         request = std::move(invalid);
       }
       if (!request.has_value()) break;  // EOF
+      if (request->kind == Request::Kind::kAdmit) parse_body(*request);
       if (config.tracer != nullptr) {
         // Tracing is best-effort: an injected allocation fault here drops
         // the trace, never the request.
@@ -175,43 +201,37 @@ ServerStats run_server(std::istream& in, std::ostream& out,
     queue.close();
   });
 
-  // Worker: drain, execute, respond.
-  for (;;) {
-    std::optional<Request> request = queue.pop();
-    if (!request.has_value()) break;  // closed and drained
-    std::unique_ptr<obs::RequestTrace> trace = std::move(request->trace);
-    if (trace != nullptr && request->queue_wait_span >= 0) {
-      trace->end(request->queue_wait_span);
-    }
-    HEDRA_METRIC("serve.requests");
-    HEDRA_METRIC_SET("serve.queue.depth",
-                     static_cast<std::int64_t>(queue.size()));
-
-    if (request->kind == Request::Kind::kMetrics) {
+  // Committer: one fsync per batch of decided requests, then the replies,
+  // in request order.  STATUS and METRICS are answered here, after every
+  // earlier request is committed.
+  const auto respond = [&](Pending& pending, AdmissionReply& reply) {
+    ++stats.requests;
+    std::unique_ptr<obs::RequestTrace> trace = std::move(pending.trace);
+    if (pending.kind == Request::Kind::kMetrics) {
       // The scrape verb: the whole registry in Prometheus text format,
       // terminated by a literal `# EOF` line (see protocol.h).
-      ++stats.requests;
       const std::string text = obs::prometheus_text();
       {
         util::MutexLock lock(shared_out.mutex);
         shared_out.out << text << "# EOF\n" << std::flush;
       }
       if (trace != nullptr) config.tracer->submit(std::move(trace));
-      continue;
+      return;
     }
-
-    AdmissionReply reply = execute(service, *request, config, trace.get());
-    if (request->kind == Request::Kind::kStatus &&
-        reply.decision == Decision::kOk) {
+    if (pending.kind == Request::Kind::kStatus) {
       // Server-side half of the enriched STATUS: the queue and shed
       // tallies live in this loop, not in the service.
-      std::ostringstream extra;
-      extra << " queue=" << queue.size() << " shed_full="
-            << shed_queue_full.load(std::memory_order_relaxed)
-            << " shed_fault=" << shed_fault.load(std::memory_order_relaxed);
-      reply.detail += extra.str();
+      std::ostringstream detail;
+      detail << service.status_line() << " queue=" << queue.size()
+             << " shed_full="
+             << shed_queue_full.load(std::memory_order_relaxed)
+             << " shed_fault=" << shed_fault.load(std::memory_order_relaxed);
+      reply.decision = Decision::kOk;
+      reply.detail = detail.str();
+    } else if (pending.kind == Request::Kind::kQuit) {
+      reply.decision = Decision::kOk;
+      reply.detail = "bye";
     }
-    ++stats.requests;
     switch (reply.decision) {
       case Decision::kAdmitted:
         ++stats.admitted;
@@ -235,7 +255,7 @@ ServerStats run_server(std::istream& in, std::ostream& out,
     }
     if (trace != nullptr) {
       trace->note("decision", to_string(reply.decision));
-      if (!request->name.empty()) trace->note("task", request->name);
+      if (!pending.name.empty()) trace->note("task", pending.name);
       trace->end_all();
       if (!trace->spans().empty()) {
         const obs::Span& root = trace->spans().front();
@@ -244,8 +264,43 @@ ServerStats run_server(std::istream& in, std::ostream& out,
       }
       config.tracer->submit(std::move(trace));
     }
+  };
+  std::thread committer([&] {
+    for (;;) {
+      std::vector<Pending> batch = decided.take_all();
+      if (batch.empty()) break;  // closed and drained
+      std::vector<StagedReply> staged(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        staged[i] = std::move(batch[i].staged);
+      }
+      service.commit(staged, [&](std::size_t i) {
+        respond(batch[i], staged[i].reply);
+      });
+      decided.release(batch.size());
+    }
+  });
+
+  // Worker: decide each request against the head state, write its record,
+  // and hand it to the committer — never waiting for an fsync.
+  for (;;) {
+    std::optional<Request> request = queue.pop();
+    if (!request.has_value()) break;  // closed and drained
+    Pending pending;
+    pending.kind = request->kind;
+    pending.name = request->name;
+    pending.trace = std::move(request->trace);
+    if (pending.trace != nullptr && request->queue_wait_span >= 0) {
+      pending.trace->end(request->queue_wait_span);
+    }
+    HEDRA_METRIC("serve.requests");
+    HEDRA_METRIC_SET("serve.queue.depth",
+                     static_cast<std::int64_t>(queue.size()));
+    pending.staged = decide(service, *request, config, pending.trace.get());
+    (void)decided.push(std::move(pending));
     if (request->kind == Request::Kind::kQuit) break;
   }
+  decided.close();
+  committer.join();
   queue.close();  // in case QUIT ended the worker before the reader
   reader.join();
   stats.shed_queue_full = shed_queue_full.load(std::memory_order_relaxed);

@@ -1,12 +1,26 @@
 #pragma once
 
 /// \file server.h
-/// The daemon loop: a reader thread parsing requests off an input stream
-/// into a BoundedQueue, and a worker (the calling thread) draining the
-/// queue through the AdmissionService and writing one response line per
-/// request.
+/// The daemon loop, three threads in a pipeline:
 ///
-/// Overload behaviour: when the queue is full the READER answers
+///  - the *reader* parses requests off an input stream — an ADMIT's body
+///    into its model::DagTask — and hands them over through a
+///    BoundedQueue;
+///  - the *worker* (the calling thread) decides each request against the
+///    service's head state and writes its journal record without fsync
+///    (AdmissionService::stage_admit/stage_leave);
+///  - the *committer* fsyncs once for every record written since its last
+///    fsync, then publishes the decided states and writes one response
+///    line per request, in request order (AdmissionService::commit).
+///
+/// So the worker decides the next requests while the disk syncs the last
+/// ones, and a reply never leaves before the fsync that covers every
+/// record its decision saw.  STATUS and METRICS are answered by the
+/// committer too, after every earlier request is committed.  At most
+/// `queue_capacity` requests are decided but not yet answered; beyond
+/// that the worker waits and the request queue fills.
+///
+/// Overload behaviour: when the request queue is full the READER answers
 /// `SHED <name>` immediately instead of blocking — bounded memory, and the
 /// client learns in O(1) that the request was dropped unprocessed.  Under
 /// overload a SHED line can therefore overtake the responses of
@@ -16,7 +30,8 @@
 ///
 /// Every request is executed under the configured per-request deadline.
 /// Injected faults (util/fault.h) and analysis errors surface as ERROR
-/// responses — the loop survives them; only QUIT or input EOF end it.
+/// responses, and so does every decision a journal rollback discarded —
+/// the loop survives them; only QUIT or input EOF end it.
 
 #include <cstdint>
 #include <iosfwd>
@@ -27,6 +42,8 @@
 namespace hedra::serve {
 
 struct ServerConfig {
+  /// Request queue capacity, also the bound on requests decided but not
+  /// yet answered; at least 1.
   std::size_t queue_capacity = 64;
   /// Per-request analysis deadline; <= 0 means unlimited.
   double request_deadline_sec = 0.0;
@@ -50,7 +67,8 @@ struct ServerStats {
   std::uint64_t errors = 0;
 };
 
-/// Runs the loop until EOF or QUIT; returns the tally.
+/// Runs the loop until EOF or QUIT; returns the tally.  Throws
+/// hedra::Error if `config.queue_capacity` is 0.
 ServerStats run_server(std::istream& in, std::ostream& out,
                        AdmissionService& service,
                        const ServerConfig& config = {});

@@ -32,6 +32,23 @@ TEST(BoundedQueueTest, FullQueueRefusesInsteadOfBlocking) {
   EXPECT_TRUE(queue.try_push(3));  // capacity freed
 }
 
+TEST(BoundedQueueTest, TakenItemsHoldCapacityUntilReleased) {
+  BoundedQueue<int> queue(2);
+  EXPECT_TRUE(queue.push(1));
+  EXPECT_TRUE(queue.push(2));
+  EXPECT_EQ(queue.take_all(), (std::vector<int>{1, 2}));
+  // Taken but not released: still full.
+  EXPECT_FALSE(queue.try_push(3));
+  std::thread producer([&] { EXPECT_TRUE(queue.push(3)); });
+  queue.release(2);  // wakes the blocked push
+  producer.join();
+  EXPECT_EQ(queue.take_all(), (std::vector<int>{3}));
+  queue.release(1);
+  queue.close();
+  EXPECT_TRUE(queue.take_all().empty());  // closed and drained
+  EXPECT_FALSE(queue.push(4));
+}
+
 TEST(BoundedQueueTest, CloseDrainsThenEnds) {
   BoundedQueue<std::string> queue(4);
   EXPECT_TRUE(queue.try_push("a"));

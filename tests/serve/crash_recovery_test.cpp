@@ -15,11 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <istream>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/fd_stream.h"
 #include "graph/dag_io.h"
 #include "serve/admission.h"
+#include "serve/server.h"
 #include "util/fault.h"
 
 namespace hedra::serve {
@@ -126,6 +133,101 @@ TEST(CrashRecoveryTest, KilledAtTheSyncSeamLosesNothing) {
 
   AdmissionService recovered(config_with(path));
   EXPECT_EQ(recovered.snapshot()->set.size(), 2u);
+}
+
+TEST(CrashRecoveryTest, KilledAtAGroupCommitFsyncLosesNoAcknowledgedReply) {
+  // A child serves a pipe with pipelined group commit and is SIGKILLed at
+  // its third commit fsync, with a burst of requests in flight.  Every
+  // ADMITTED or OK line the parent read before the kill must name a record
+  // in the journal the child left behind.
+  const std::string path = ::testing::TempDir() + "/crash_group.journal";
+  std::remove(path.c_str());
+  int to_child[2];
+  int from_child[2];
+  ASSERT_EQ(::pipe(to_child), 0);
+  ASSERT_EQ(::pipe(from_child), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    ::close(to_child[1]);
+    ::close(from_child[0]);
+    try {
+      AdmissionService service(config_with(path));
+      fault::configure("serve.journal.sync=@3!kill");
+      hedra::testing::FdStreamBuf in_buf(to_child[0]);
+      hedra::testing::FdStreamBuf out_buf(from_child[1]);
+      std::istream in(&in_buf);
+      std::ostream out(&out_buf);
+      (void)run_server(in, out, service);
+    } catch (...) {
+      _exit(2);
+    }
+    _exit(3);  // survived: the fault never fired
+  }
+  ::close(to_child[0]);
+  ::close(from_child[1]);
+  const auto admit = [](int i) {
+    return "ADMIT tau" + std::to_string(i) +
+           " period 1000 deadline 1000\nnode v1 5\nendtask\n";
+  };
+  // Two requests one at a time (one fsync each), then a burst whose first
+  // fsync is the fatal one.
+  std::string burst;
+  for (int i = 3; i <= 12; ++i) burst += admit(i);
+  burst += "LEAVE tau1\nLEAVE tau2\n";
+  std::vector<std::string> replies;
+  {
+    hedra::testing::FdStreamBuf request_buf(to_child[1]);
+    hedra::testing::FdStreamBuf reply_buf(from_child[0]);
+    std::ostream requests(&request_buf);
+    std::istream in(&reply_buf);
+    std::string line;
+    for (int i = 1; i <= 2; ++i) {
+      requests << admit(i) << std::flush;
+      ASSERT_TRUE(std::getline(in, line));
+      replies.push_back(line);
+    }
+    requests << burst << std::flush;
+    // End the input, so a child that is never killed exits instead of
+    // waiting for more.
+    ::close(to_child[1]);
+    while (std::getline(in, line)) replies.push_back(line);  // until killed
+  }
+  ::close(from_child[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status))
+      << "child exited with code "
+      << (WIFEXITED(status) ? WEXITSTATUS(status) : -1)
+      << " instead of dying by signal";
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  const JournalReplay replay = Journal::replay(path);
+  const auto journalled = [&](const std::string& record) {
+    for (const std::string& r : replay.records) {
+      if (r.rfind(record, 0) == 0) return true;
+    }
+    return false;
+  };
+  int acknowledged = 0;
+  for (const std::string& line : replies) {
+    std::istringstream fields(line);
+    std::string decision, name;
+    fields >> decision >> name;
+    if (decision == "ADMITTED") {
+      ++acknowledged;
+      EXPECT_TRUE(journalled("admit\ntask " + name + " "))
+          << "acknowledged '" << line << "' has no admit record";
+    } else if (decision == "OK") {
+      ++acknowledged;
+      EXPECT_TRUE(journalled("leave " + name))
+          << "acknowledged '" << line << "' has no leave record";
+    }
+  }
+  EXPECT_GE(acknowledged, 2);  // tau1 and tau2, each behind its own fsync
+  // And the journal restarts to a state holding every acknowledged task.
+  AdmissionService recovered(config_with(path));
+  EXPECT_TRUE(recovered.snapshot()->analysis.schedulable);
 }
 
 }  // namespace

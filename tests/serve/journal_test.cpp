@@ -193,6 +193,81 @@ TEST(JournalTest, DirectorySyncFaultRefusesToOpen) {
   EXPECT_EQ(Journal::replay(path).records.size(), 1u);
 }
 
+TEST(JournalTest, OneSyncMakesEveryWrittenFrameDurable) {
+  const std::string path = temp_journal("group_sync.journal");
+  fault::clear_registry();
+  fault::configure("*=0");  // enabled, never fires: counts the fsyncs
+  {
+    Journal journal(path);
+    const JournalPosition empty = journal.durable();
+    const JournalPosition a = journal.write("a", 0);
+    const JournalPosition b = journal.write("b", 0);
+    const JournalPosition c = journal.write("c", 0);
+    EXPECT_LT(a.bytes, b.bytes);
+    EXPECT_LT(b.bytes, c.bytes);
+    EXPECT_EQ(journal.durable().bytes, empty.bytes);  // written, not synced
+    journal.sync(c);
+    EXPECT_EQ(journal.durable().bytes, c.bytes);
+    journal.sync(b);  // already durable: no second fsync
+  }
+  EXPECT_EQ(fault::hits("serve.journal.sync"), 1u);
+  fault::clear_registry();
+  const JournalReplay replay = Journal::replay(path);
+  ASSERT_EQ(replay.records.size(), 3u);
+  EXPECT_EQ(replay.records[2], "c");
+}
+
+TEST(JournalTest, SyncFaultTruncatesEveryUnsyncedFrame) {
+  const std::string path = temp_journal("group_sync_fault.journal");
+  Journal journal(path);
+  journal.append("durable");
+  const std::string before = read_file(path);
+  (void)journal.write("lost 1", 0);
+  (void)journal.write("lost 2", 0);
+  const JournalPosition last = journal.write("lost 3", 0);
+
+  fault::configure("serve.journal.sync=@1");
+  EXPECT_THROW(journal.sync(last), fault::Injected);
+  fault::reset();
+
+  // Rolled back to the last durable byte, in a new era: the lost records
+  // can neither be synced nor extended.
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_EQ(journal.era(), 1u);
+  EXPECT_NE(journal.last_error().find("serve.journal.sync"),
+            std::string::npos);
+  EXPECT_THROW(journal.sync(last), Error);
+  const JournalPosition stale = journal.write("built on lost 3", 0);
+  EXPECT_EQ(read_file(path), before);  // not written...
+  EXPECT_THROW(journal.sync(stale), Error);  // ...and never durable
+  journal.sync(journal.write("after rollback", 1));
+  fault::clear_registry();
+
+  const JournalReplay replay = Journal::replay(path);
+  ASSERT_EQ(replay.records.size(), 2u);
+  EXPECT_EQ(replay.records[0], "durable");
+  EXPECT_EQ(replay.records[1], "after rollback");
+  EXPECT_FALSE(replay.torn_tail);
+}
+
+TEST(JournalTest, WriteFaultAlsoDiscardsEarlierUnsyncedFrames) {
+  const std::string path = temp_journal("group_write_fault.journal");
+  Journal journal(path);
+  journal.append("durable");
+  const std::string before = read_file(path);
+  const JournalPosition unsynced = journal.write("unsynced", 0);
+
+  fault::configure("serve.journal.write=@1");
+  EXPECT_THROW((void)journal.write("faulted", 0), fault::Injected);
+  fault::reset();
+  fault::clear_registry();
+
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_EQ(journal.era(), 1u);
+  EXPECT_THROW(journal.sync(unsynced), Error);
+  EXPECT_EQ(Journal::replay(path).records.size(), 1u);
+}
+
 TEST(JournalTest, OversizedRecordRefused) {
   const std::string path = temp_journal("oversize.journal");
   Journal journal(path);

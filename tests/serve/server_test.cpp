@@ -237,6 +237,44 @@ TEST(ServerTest, TraceAllocationFaultDropsTheTraceNotTheRequest) {
   EXPECT_EQ(tracer.submitted(), 1u);  // only the QUIT trace survived
 }
 
+TEST(ServerTest, QueueCapacityBelowOneIsRefused) {
+  // A zero capacity would shed every request; the daemon's --queue flag
+  // is checked before the cast, the loop checks again.
+  ServerConfig config;
+  config.queue_capacity = 0;
+  std::istringstream in("STATUS\n");
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  EXPECT_THROW((void)run_server(in, out, service, config), Error);
+  EXPECT_TRUE(out.str().empty());
+}
+
+TEST(ServerTest, StatusReflectsEveryEarlierRequest) {
+  // STATUS is answered after every earlier request is committed, however
+  // far the worker has run ahead of the committer.
+  std::string script;
+  for (int i = 0; i < 4; ++i) {  // four one-core tasks fill the platform
+    script += "ADMIT tau" + std::to_string(i) +
+              " period 1000 deadline 1000\n" + kEasyBody;
+    script += "STATUS\n";
+  }
+  script += "QUIT\n";
+  std::istringstream in(script);
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  (void)run_server(in, out, service);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 9u);
+  for (int i = 0; i < 4; ++i) {
+    const std::string& status = lines[static_cast<std::size_t>(2 * i + 1)];
+    const std::string n = std::to_string(i + 1);
+    EXPECT_NE(status.find("tasks=" + n + " "), std::string::npos) << status;
+    EXPECT_NE(status.find("version=" + n + " "), std::string::npos) << status;
+    EXPECT_NE(status.find("admitted=" + n + " "), std::string::npos)
+        << status;
+  }
+}
+
 TEST(ServerTest, PerRequestDeadlineDegradesGracefully) {
   ServerConfig config;
   config.request_deadline_sec = 1e-9;
