@@ -148,7 +148,8 @@ void BM_SimulatePolicySweepShape(benchmark::State& state) {
   config.policy = policy;
   config.validate = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hedra::sim::simulated_makespan(flat, config));
+    benchmark::DoNotOptimize(
+        hedra::sim::simulated_makespan(flat.view(), config));
   }
   state.SetLabel(hedra::sim::to_string(policy));
 }

@@ -13,15 +13,19 @@
 /// four core counts therefore pays for one transform and one set of
 /// longest-path passes instead of four.
 ///
+/// Every graph walk runs over one CSR view per graph — flat_view() for τ,
+/// transformed_view() for τ' — and the platform bound is the one producer /
+/// evaluator pair of analysis/platform_rta.h memoised per DAG, so a cache
+/// and a direct platform_bound call return the same rational.
+///
 /// An instance references (does not copy) the DAG it analyses and is meant
 /// for single-threaded use; the experiment runner builds one cache per DAG
 /// inside each worker task.
 
 #include <optional>
 #include <span>
-#include <utility>
-#include <vector>
 
+#include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
 #include "analysis/transform.h"
 #include "graph/critical_path.h"
@@ -32,18 +36,6 @@
 #include "util/fraction.h"
 
 namespace hedra::analysis {
-
-/// The m-independent quantities of the K-device platform bound
-/// (analysis/platform_rta.h), measured once on the ORIGINAL graph: host
-/// volume, per-device volumes and the maximum host-weighted path.
-struct PlatformQuantities {
-  graph::Time vol_host = 0;
-  graph::Time max_host_path = 0;
-  graph::Time device_volume_sum = 0;  ///< Σ_d vol_d
-  /// (device id, vol_d) ascending by device id; one entry per accelerator
-  /// device present in the graph.
-  std::vector<std::pair<graph::DeviceId, graph::Time>> device_volumes;
-};
 
 class AnalysisCache {
  public:
@@ -67,19 +59,15 @@ class AnalysisCache {
   /// pipeline's object, labels included).
   [[nodiscard]] const Dag& original();
 
-  /// CSR snapshot of the ORIGINAL graph, built once on first use.  Every
-  /// graph walk the cache performs on τ runs over this snapshot, and the
-  /// simulation call sites share it so a 5-policy × 4-m sweep snapshots the
-  /// DAG once instead of twenty times.  Arena-backed caches materialise the
-  /// Dag first; hot paths should prefer flat_view(), which never does.
-  [[nodiscard]] const graph::FlatDag& flat();
-
   /// CSR view of the ORIGINAL graph: the arena slice for a batch-backed
-  /// cache (no materialisation, no copy), flat().view() otherwise.
+  /// cache (no materialisation, no copy), otherwise a snapshot built once on
+  /// first use.  Every walk the cache performs on τ runs over this view, and
+  /// the simulation call sites share it, so a 5-policy × 4-m sweep
+  /// snapshots the DAG once instead of twenty times.
   [[nodiscard]] graph::FlatView flat_view();
 
-  /// CSR snapshot of the transformed graph τ' (forces the transform).
-  [[nodiscard]] const graph::FlatDag& flat_transformed();
+  /// CSR view of the transformed graph τ' (forces the transform).
+  [[nodiscard]] graph::FlatView transformed_view();
 
   /// Algorithm 1 (validates the model preconditions on first call).
   [[nodiscard]] const TransformResult& transform();
@@ -89,13 +77,6 @@ class AnalysisCache {
 
   /// Longest-path data of G'.
   [[nodiscard]] const graph::CriticalPathInfo& critical_path();
-
-  /// Deterministic topological orders (Kahn, id tie-breaks).  Served from
-  /// the CSR snapshots, so the first call FORCES the corresponding
-  /// snapshot; callers that only ever need an order should call
-  /// graph::topological_order directly.
-  [[nodiscard]] const std::vector<graph::NodeId>& topo_original();
-  [[nodiscard]] const std::vector<graph::NodeId>& topo_transformed();
 
   /// The m-independent quantities of Theorem 1, measured once.
   [[nodiscard]] const TheoremQuantities& quantities();
@@ -119,24 +100,14 @@ class AnalysisCache {
   [[nodiscard]] Frac r_hom_gpar(int m);  ///< the scenario discriminator
   [[nodiscard]] Scenario scenario(int m);
   [[nodiscard]] Frac r_het(int m);       ///< Theorem 1 on τ'
-  [[nodiscard]] Frac r_platform(int m);  ///< K-device chain bound on τ
 
-  /// The multiplicity generalisation: n_d execution units per accelerator
-  /// class (`device_units[d−1]`; devices beyond the span have one unit).
-  /// All-ones spans delegate to the cached single-unit arithmetic above;
-  /// otherwise the per-device volumes come from the cached
-  /// PlatformQuantities and only the weighted chain walk (which depends on
-  /// m and the unit vector) runs per call, over the CSR snapshot.
-  [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units);
-
-  /// Heterogeneous WCET scaling on top of the multiplicity bound: device d
-  /// runs nominal WCETs at speedup s_d (`device_speedup[d−1]`; devices
-  /// beyond the span run at unit speed), so its device term is
-  /// vol_d/(n_d·s_d) and its chain weights scale by 1/s_d.  An all-ones
-  /// speedup span delegates to the unscaled overloads above (exact rational
-  /// equality).
-  [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units,
-                                std::span<const Frac> device_speedup);
+  /// K-device chain bound on τ: platform_bound over the cached quantities,
+  /// with n_d = `device_units[d−1]` execution units and WCET speedup
+  /// s_d = `device_speedup[d−1]` per class (devices beyond either span get
+  /// one unit at unit speed).  Only the weighted chain walk of a
+  /// multi-unit or sped-up platform runs per call.
+  [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units = {},
+                                std::span<const Frac> device_speedup = {});
 
   /// Same bound from a full Platform (must support the DAG's device ids;
   /// honours device_units and device_speedup).
@@ -153,10 +124,10 @@ class AnalysisCache {
   const Dag* dag_ = nullptr;
   const graph::FlatDagBatch* batch_ = nullptr;
   std::size_t batch_index_ = 0;
-  graph::FlatView view_;              ///< arena slice (batch-backed only)
+  graph::FlatView view_;  ///< τ: the arena slice, or flat_'s view once built
   std::optional<Dag> materialized_;   ///< lazy Dag of a batch-backed cache
   std::optional<TransformResult> transform_;
-  std::optional<graph::FlatDag> flat_;
+  std::optional<graph::FlatDag> flat_;  ///< eager caches only
   std::optional<graph::FlatDag> flat_transformed_;
   std::optional<graph::CriticalPathInfo> cp_transformed_;
   std::optional<TheoremQuantities> quantities_;

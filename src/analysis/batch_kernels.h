@@ -1,28 +1,24 @@
 #pragma once
 
 /// \file batch_kernels.h
-/// Vectorized analysis kernels over arena batches.
+/// Vectorized analysis kernels over flat arrays.
 ///
 /// The K-device platform bound is, per DAG, two data-parallel reductions
 /// over flat arrays — per-device volume sums over `wcet`/`device`, and a
 /// longest-path relaxation over the CSR in topological order — followed by
-/// per-m rational arithmetic.  Over a `FlatDagBatch` arena these run as
-/// branch-light loops on contiguous memory with scratch shared across the
-/// whole batch, and `analyze_platform_batch` packages the result for the
-/// sweep drivers (fig10/fig11/fig12, taskset admission, B&B seeding).
-///
-/// The volume reduction additionally has an explicit AVX2 path (masked
-/// 4×int64 accumulation per device class) selected once at runtime via
-/// CPU-feature dispatch; `batch_kernel_backend()` names the active backend
-/// and the scalar reference implementation stays callable so tests can pin
-/// SIMD == scalar on every input.  Every result is EXACTLY equal — same
-/// normalised rationals — to the per-DAG `AnalysisCache::r_platform` path
-/// (regression-pinned in tests/analysis/batch_kernels_test.cpp).
+/// per-m rational arithmetic.  The volume reduction has an explicit AVX2
+/// path (masked 4×int64 accumulation per device class) selected once at
+/// runtime via CPU-feature dispatch; `batch_kernel_backend()` names the
+/// active backend and the scalar reference implementation stays callable
+/// so tests can pin SIMD == scalar on every input.
+/// analysis::platform_quantities (platform_rta.h) is the kernel's one
+/// caller on the bound path, and `analyze_platform_batch` applies that
+/// producer and platform_bound to every DAG of an arena batch.
 
 #include <span>
 #include <vector>
 
-#include "analysis/analysis_cache.h"
+#include "analysis/platform_rta.h"
 #include "graph/flat_batch.h"
 #include "util/fraction.h"
 
@@ -45,29 +41,6 @@ void accumulate_device_volumes_scalar(std::span<const graph::Time> wcets,
                                       std::span<const graph::DeviceId> devices,
                                       std::span<graph::Time> out);
 
-/// Per-DAG m-independent platform quantities for a whole batch: per-device
-/// volumes via the vectorized kernel, max host path via the batched
-/// relaxation (scratch shared across DAGs).  Element i exactly equals
-/// AnalysisCache(batch, i).platform_quantities().
-[[nodiscard]] std::vector<PlatformQuantities> platform_quantities_batch(
-    const graph::FlatDagBatch& batch);
-
-/// The same quantities for ONE view (exactly equal to a view-backed
-/// AnalysisCache's platform_quantities()).  For callers that hold flat
-/// graphs outside a batch — e.g. arena-backed taskset tasks.
-[[nodiscard]] PlatformQuantities platform_quantities_view(
-    const graph::FlatView& view);
-
-/// The K-device chain bound R(m) for one view given its precomputed
-/// quantities — exactly AnalysisCache::r_platform(m, units, speedups),
-/// including its single-unit / unit-speed fast paths.  Empty spans default
-/// to one unit / unit speed per class.  The quantities MUST belong to
-/// `view`.
-[[nodiscard]] Frac platform_bound(const PlatformQuantities& quantities,
-                                  const graph::FlatView& view, int m,
-                                  std::span<const int> device_units,
-                                  std::span<const Frac> device_speedup);
-
 /// The K-device chain bound for every (DAG, core-count) pair of a batch.
 struct PlatformBatchAnalysis {
   std::vector<PlatformQuantities> quantities;  ///< one per DAG
@@ -79,18 +52,13 @@ struct PlatformBatchAnalysis {
   }
 };
 
-/// Single-unit platforms (one execution unit per accelerator class — the
-/// paper's model): bounds[i][mi] == AnalysisCache(batch, i).r_platform(
-/// cores[mi]) exactly.
-[[nodiscard]] PlatformBatchAnalysis analyze_platform_batch(
-    const graph::FlatDagBatch& batch, std::span<const int> cores);
-
-/// Multiplicity + heterogeneous-speed generalisation: `device_units` /
-/// `device_speedup` indexed d−1 as in AnalysisCache::r_platform, empty
-/// spans defaulting to one unit / unit speed.  Exactly equal to the
-/// per-DAG cache results for every (DAG, m).
+/// platform_bound(platform_quantities(batch.view(i)), batch.view(i),
+/// cores[mi], device_units, device_speedup) for every DAG i and core count
+/// cores[mi]; empty spans default to one unit at unit speed per class (the
+/// paper's single-unit platform).
 [[nodiscard]] PlatformBatchAnalysis analyze_platform_batch(
     const graph::FlatDagBatch& batch, std::span<const int> cores,
-    std::span<const int> device_units, std::span<const Frac> device_speedup);
+    std::span<const int> device_units = {},
+    std::span<const Frac> device_speedup = {});
 
 }  // namespace hedra::analysis

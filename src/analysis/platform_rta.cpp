@@ -4,59 +4,29 @@
 #include <numeric>
 #include <sstream>
 
-#include "graph/algorithms.h"
+#include "analysis/batch_kernels.h"
+#include "graph/flat_dag.h"
 
 namespace hedra::analysis {
 
-Frac evaluate_platform_bound(graph::Time vol_host,
-                             graph::Time device_volume_sum,
-                             graph::Time max_host_path, int m) {
-  HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
-  return Frac(vol_host, m) + Frac(device_volume_sum) +
-         Frac(max_host_path * (m - 1), m);
-}
-
-/// Accelerator nodes contribute weight 0 but still extend paths, exactly as
-/// in rta_multi_offload.
-graph::Time max_host_path(const graph::Dag& dag,
-                          std::span<const graph::NodeId> order) {
-  std::vector<graph::Time> best(dag.num_nodes(), 0);
-  graph::Time max_weighted = 0;
-  for (const auto v : order) {
-    graph::Time incoming = 0;
-    for (const auto p : dag.predecessors(v)) {
-      incoming = std::max(incoming, best[p]);
-    }
-    const graph::Time weight =
-        dag.device(v) == graph::kHostDevice ? dag.wcet(v) : 0;
-    best[v] = incoming + weight;
-    max_weighted = std::max(max_weighted, best[v]);
-  }
-  return max_weighted;
-}
-
-graph::Time max_host_path(const graph::Dag& dag) {
-  return max_host_path(dag, graph::topological_order(dag));
-}
-
 graph::Time max_host_path(const graph::FlatView& view) {
-  std::vector<graph::Time> best(view.num_nodes(), 0);
+  // Per-thread scratch: the taskset seed bound measures every task of every
+  // admission through here, where per-call allocation is measurable.
+  thread_local std::vector<graph::Time> best;
+  best.assign(view.num_nodes(), 0);
   graph::Time max_weighted = 0;
   for (const auto v : view.topological_order()) {
     graph::Time incoming = 0;
     for (const auto p : view.predecessors(v)) {
       incoming = std::max(incoming, best[p]);
     }
+    // Branch-light: a device node contributes 0, not a skipped iteration.
     const graph::Time weight =
         view.device(v) == graph::kHostDevice ? view.wcet(v) : 0;
     best[v] = incoming + weight;
     max_weighted = std::max(max_weighted, best[v]);
   }
   return max_weighted;
-}
-
-graph::Time max_host_path(const graph::FlatDag& flat) {
-  return max_host_path(flat.view());
 }
 
 namespace {
@@ -105,25 +75,22 @@ ScaledWeights scale_weights(graph::DeviceId max_device,
   return out;
 }
 
-/// Exact Frac DP of the generalised walk; `Graph` is Dag, FlatDag or
-/// FlatView (identical accessor vocabulary).  The fallback for weightings
+/// Exact Frac DP of the generalised walk — the fallback for weightings
 /// whose common denominator would risk int64 overflow.
-template <typename Graph>
-Frac weighted_chain_walk_frac(const Graph& graph,
-                              std::span<const graph::NodeId> order,
+Frac weighted_chain_walk_frac(const graph::FlatView& view,
                               const ChainWeighting& weighting) {
   const bool scaled = !weighting.speedup.empty();
-  std::vector<Frac> best(graph.num_nodes());
+  std::vector<Frac> best(view.num_nodes());
   Frac max_weighted;
-  for (const auto v : order) {
+  for (const auto v : view.topological_order()) {
     Frac incoming;
-    for (const auto p : graph.predecessors(v)) {
+    for (const auto p : view.predecessors(v)) {
       incoming = frac_max(incoming, best[p]);
     }
-    const graph::DeviceId device = graph.device(v);
+    const graph::DeviceId device = view.device(v);
     const int units =
         device == graph::kHostDevice ? weighting.m : weighting.units_of(device);
-    Frac weight(graph.wcet(v) * (units - 1), units);
+    Frac weight(view.wcet(v) * (units - 1), units);
     if (scaled && device != graph::kHostDevice) {
       // Effective execution time on a sped-up class is C_v/s_d.
       weight /= weighting.speedup_of(device);
@@ -134,64 +101,117 @@ Frac weighted_chain_walk_frac(const Graph& graph,
   return max_weighted;
 }
 
-/// Integer-scaled DP over a common denominator; falls back to the Frac DP
-/// when the scaling is unrepresentable.  Exact rational equality with the
-/// Frac DP in all cases (regression-pinned in platform_rta_test).
-template <typename Graph>
-Frac weighted_chain_walk(const Graph& graph,
-                         std::span<const graph::NodeId> order,
-                         const ChainWeighting& weighting) {
+/// vol_d / (n_d · s_d): one device class's share of the bound.
+Frac device_share(graph::Time volume, int units, const Frac& speedup) {
+  return Frac(volume, units) / speedup;
+}
+
+/// The three terms of R(m), each an exact rational.
+struct BoundTerms {
+  Frac host;
+  Frac device;
+  Frac path;
+};
+
+/// The one evaluator behind platform_bound and analyze_platform.
+BoundTerms evaluate_platform_bound(const PlatformQuantities& q,
+                                   const graph::FlatView& view, int m,
+                                   std::span<const int> device_units,
+                                   std::span<const Frac> device_speedup) {
+  HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
+  const bool single_unit =
+      std::all_of(device_units.begin(), device_units.end(),
+                  [](int units) { return units == 1; });
+  const bool unit_speed =
+      std::all_of(device_speedup.begin(), device_speedup.end(),
+                  [](const Frac& s) { return s == Frac(1); });
+  BoundTerms terms;
+  terms.host = Frac(q.vol_host, m);
+  if (single_unit && unit_speed) {
+    // Every device weight vanishes: the walk is max_host_path·(m−1)/m,
+    // already measured, and the device term is the plain volume sum.
+    terms.device = Frac(q.device_volume_sum);
+    terms.path = Frac(q.max_host_path * (m - 1), m);
+    return terms;
+  }
+  // The walk validates every class's units and speedup, so it runs first.
+  const ChainWeighting weighting{
+      m, device_units, unit_speed ? std::span<const Frac>{} : device_speedup};
+  terms.path = max_host_path(view, weighting);
+  for (const auto& [device, volume] : q.device_volumes) {
+    terms.device += device_share(volume, weighting.units_of(device),
+                                 weighting.speedup_of(device));
+  }
+  return terms;
+}
+
+}  // namespace
+
+Frac max_host_path(const graph::FlatView& view,
+                   const ChainWeighting& weighting) {
   HEDRA_REQUIRE(weighting.m >= 1, "core count m must be >= 1");
-  for (graph::DeviceId d = 1; d <= graph.max_device(); ++d) {
+  for (graph::DeviceId d = 1; d <= view.max_device(); ++d) {
     HEDRA_REQUIRE(weighting.units_of(d) >= 1,
                   "every device class needs >= 1 execution unit");
     HEDRA_REQUIRE(weighting.speedup_of(d) > Frac(0),
                   "every device speedup must be strictly positive");
   }
-  const ScaledWeights scale = scale_weights(graph.max_device(), weighting);
-  if (!scale.usable) {
-    return weighted_chain_walk_frac(graph, order, weighting);
-  }
+  const ScaledWeights scale = scale_weights(view.max_device(), weighting);
+  if (!scale.usable) return weighted_chain_walk_frac(view, weighting);
   // Overflow guard: every path value is bounded by Σ_v C_v·factor_v.
   __int128 total = 0;
   std::int64_t max_factor = 0;
   for (const std::int64_t f : scale.factor) {
     max_factor = std::max(max_factor, f);
   }
-  for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
-    total += static_cast<__int128>(graph.wcet(v)) * max_factor;
+  for (const graph::Time c : view.wcets()) {
+    total += static_cast<__int128>(c) * max_factor;
   }
   if (total > (static_cast<__int128>(1) << 62)) {
-    return weighted_chain_walk_frac(graph, order, weighting);
+    return weighted_chain_walk_frac(view, weighting);
   }
-  std::vector<std::int64_t> best(graph.num_nodes(), 0);
+  std::vector<std::int64_t> best(view.num_nodes(), 0);
   std::int64_t max_weighted = 0;
-  for (const auto v : order) {
+  for (const auto v : view.topological_order()) {
     std::int64_t incoming = 0;
-    for (const auto p : graph.predecessors(v)) {
+    for (const auto p : view.predecessors(v)) {
       incoming = std::max(incoming, best[p]);
     }
-    best[v] = incoming + graph.wcet(v) * scale.factor[graph.device(v)];
+    best[v] = incoming + view.wcet(v) * scale.factor[view.device(v)];
     max_weighted = std::max(max_weighted, best[v]);
   }
   return Frac(max_weighted, scale.denom);
 }
 
-}  // namespace
+PlatformQuantities platform_quantities(const graph::FlatView& view) {
+  // Per-thread scratch, as in max_host_path.
+  thread_local std::vector<graph::Time> volume;
+  thread_local std::vector<std::size_t> count;
+  const std::size_t num_devices =
+      static_cast<std::size_t>(view.max_device()) + 1;
+  volume.assign(num_devices, 0);
+  count.assign(num_devices, 0);
+  accumulate_device_volumes(view.wcets(), view.devices(), volume);
+  for (const graph::DeviceId d : view.devices()) ++count[d];
 
-Frac max_host_path(const graph::Dag& dag, const ChainWeighting& weighting) {
-  const auto order = graph::topological_order(dag);
-  return weighted_chain_walk(dag, order, weighting);
+  PlatformQuantities q;
+  q.vol_host = volume[graph::kHostDevice];
+  q.max_host_path = max_host_path(view);
+  for (graph::DeviceId d = 1; d < num_devices; ++d) {
+    if (count[d] == 0) continue;
+    q.device_volumes.emplace_back(d, volume[d]);
+    q.device_volume_sum += volume[d];
+  }
+  return q;
 }
 
-Frac max_host_path(const graph::FlatDag& flat,
-                   const ChainWeighting& weighting) {
-  return weighted_chain_walk(flat, flat.topological_order(), weighting);
-}
-
-Frac max_host_path(const graph::FlatView& view,
-                   const ChainWeighting& weighting) {
-  return weighted_chain_walk(view, view.topological_order(), weighting);
+Frac platform_bound(const PlatformQuantities& quantities,
+                    const graph::FlatView& view, int m,
+                    std::span<const int> device_units,
+                    std::span<const Frac> device_speedup) {
+  const BoundTerms terms = evaluate_platform_bound(
+      quantities, view, m, device_units, device_speedup);
+  return terms.host + terms.device + terms.path;
 }
 
 PlatformAnalysis analyze_platform(const graph::Dag& dag,
@@ -204,13 +224,14 @@ PlatformAnalysis analyze_platform(const graph::Dag& dag,
                   "platform does not support the DAG: " + issues.front());
   }
 
+  const graph::FlatDag flat(dag);
+  const graph::FlatView view = flat.view();
+  const PlatformQuantities q = platform_quantities(view);
   PlatformAnalysis out;
   out.platform = platform;
   out.m = platform.cores;
-  out.vol_host = dag.volume_on(graph::kHostDevice);
-  out.max_host_path = max_host_path(dag);
-  std::vector<int> units(platform.num_devices(), 1);
-  std::vector<Frac> speedups(platform.num_devices(), Frac(1));
+  out.vol_host = q.vol_host;
+  out.max_host_path = q.max_host_path;
   for (int d = 1; d <= platform.num_devices(); ++d) {
     const auto device = static_cast<graph::DeviceId>(d);
     DeviceTerm term;
@@ -220,33 +241,15 @@ PlatformAnalysis analyze_platform(const graph::Dag& dag,
     term.node_count = dag.nodes_on(device).size();
     term.units = platform.units_of(device);
     term.speedup = platform.speedup_of(device);
-    term.term = Frac(term.volume, term.units) / term.speedup;
-    units[d - 1] = term.units;
-    speedups[d - 1] = term.speedup;
+    term.term = device_share(term.volume, term.units, term.speedup);
     out.devices.push_back(std::move(term));
   }
-
-  const int m = out.m;
-  out.host_term = Frac(out.vol_host, m);
-  if (platform.has_multi_units() || platform.has_speedups()) {
-    Frac device_term;
-    for (const auto& term : out.devices) device_term += term.term;
-    out.device_term = device_term;
-    ChainWeighting weighting{m, units, {}};
-    if (platform.has_speedups()) weighting.speedup = speedups;
-    out.path_term = max_host_path(dag, weighting);
-    out.bound = out.host_term + out.device_term + out.path_term;
-  } else {
-    // The pre-multiplicity formula, kept on its own integer-walk path so
-    // single-unit platforms produce bit-identical analyses (and explain()
-    // output) to the historical implementation.
-    graph::Time device_volume_sum = 0;
-    for (const auto& term : out.devices) device_volume_sum += term.volume;
-    out.device_term = Frac(device_volume_sum);
-    out.path_term = Frac(out.max_host_path * (m - 1), m);
-    out.bound = evaluate_platform_bound(out.vol_host, device_volume_sum,
-                                        out.max_host_path, m);
-  }
+  const BoundTerms terms = evaluate_platform_bound(
+      q, view, out.m, platform.device_units, platform.device_speedup);
+  out.host_term = terms.host;
+  out.device_term = terms.device;
+  out.path_term = terms.path;
+  out.bound = terms.host + terms.device + terms.path;
   return out;
 }
 

@@ -45,17 +45,35 @@
 /// becomes vol_d/(n_d·s_d) and the chain weight (C_v/s_d)·(n_d−1)/n_d —
 /// while host terms are untouched.  All speedups at 1 reduce to the
 /// unscaled bound with exact rational equality.
+///
+/// One producer, one evaluator: platform_quantities(view) measures the
+/// m-independent quantities of one CSR view, and platform_bound(q, view, m,
+/// units, speedups) evaluates R(m) from them.  analyze_platform, the
+/// AnalysisCache, analyze_platform_batch and the taskset seed bound all go
+/// through these two, so every route returns the same normalised rational.
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/dag.h"
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 #include "model/platform.h"
 #include "util/fraction.h"
 
 namespace hedra::analysis {
+
+/// The m-independent quantities of the bound, measured once per graph:
+/// host volume, per-device volumes and the maximum host-weighted path.
+struct PlatformQuantities {
+  graph::Time vol_host = 0;
+  graph::Time max_host_path = 0;
+  graph::Time device_volume_sum = 0;  ///< Σ_d vol_d
+  /// (device id, vol_d) ascending by device id; one entry per accelerator
+  /// device present in the graph.
+  std::vector<std::pair<graph::DeviceId, graph::Time>> device_volumes;
+};
 
 /// One accelerator device's contribution to the bound.
 struct DeviceTerm {
@@ -106,6 +124,23 @@ struct ChainWeighting {
   }
 };
 
+/// The quantities of one graph: per-device volumes through the dispatched
+/// volume kernel (analysis/batch_kernels.h) and the host-weighted longest
+/// path over the view's topological order.
+[[nodiscard]] PlatformQuantities platform_quantities(
+    const graph::FlatView& view);
+
+/// R(m) on m host cores with `device_units[d−1]` units and
+/// `device_speedup[d−1]` speedup per class; devices beyond either span get
+/// one unit at unit speed.  Single-unit, unit-speed platforms reduce to
+/// vol_host/m + Σ_d vol_d + max_host_path·(m−1)/m from the quantities
+/// alone; otherwise the weighted chain walk runs over `view`, to which the
+/// quantities MUST belong.
+[[nodiscard]] Frac platform_bound(const PlatformQuantities& quantities,
+                                  const graph::FlatView& view, int m,
+                                  std::span<const int> device_units = {},
+                                  std::span<const Frac> device_speedup = {});
+
 /// Computes the K-device chain bound with its full derivation.  Requires a
 /// non-empty acyclic DAG every node of which is placed on the host or on one
 /// of the platform's devices (model::check_supports).
@@ -121,38 +156,15 @@ struct ChainWeighting {
 /// host cores.
 [[nodiscard]] Frac rta_platform(const graph::Dag& dag, int m);
 
-/// Evaluates the single-unit chain bound from pre-measured quantities — the
-/// single place the n_d = 1 formula lives; analyze_platform and
-/// AnalysisCache::r_platform both delegate here.  `device_volume_sum` is
-/// Σ_d vol_d.
-[[nodiscard]] Frac evaluate_platform_bound(graph::Time vol_host,
-                                           graph::Time device_volume_sum,
-                                           graph::Time max_host_path, int m);
-
 /// max over source-to-sink paths P of Σ_{v∈P, host} C_v — the bound's
-/// self-interference chain, exposed so per-DAG caches can share the walk
-/// across core counts (the quantity is m-independent).
-[[nodiscard]] graph::Time max_host_path(const graph::Dag& dag);
-
-/// Overload reusing an already-computed topological order of `dag`.
-[[nodiscard]] graph::Time max_host_path(const graph::Dag& dag,
-                                        std::span<const graph::NodeId> order);
-
-/// Overload over a CSR snapshot, using its cached topological order — the
-/// AnalysisCache hot path (one contiguous pass, no adjacency indirection).
-[[nodiscard]] graph::Time max_host_path(const graph::FlatDag& flat);
-
-/// Overload over a non-owning CSR view (arena batches).
+/// self-interference chain (m-independent).  Accelerator nodes weigh 0 but
+/// still extend paths.
 [[nodiscard]] graph::Time max_host_path(const graph::FlatView& view);
 
 /// The generalised weighted chain walk of the multiplicity bound:
 /// max_P Σ_{v∈P} C_v·(r_v−1)/r_v with r_v the unit count of v's resource
 /// (m for host nodes, n_d for device-d nodes).  Exact rationals throughout;
 /// with all n_d = 1 this equals max_host_path·(m−1)/m exactly.
-[[nodiscard]] Frac max_host_path(const graph::Dag& dag,
-                                 const ChainWeighting& weighting);
-[[nodiscard]] Frac max_host_path(const graph::FlatDag& flat,
-                                 const ChainWeighting& weighting);
 [[nodiscard]] Frac max_host_path(const graph::FlatView& view,
                                  const ChainWeighting& weighting);
 

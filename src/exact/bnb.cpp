@@ -79,7 +79,8 @@ struct DelayFrame {
 /// Immutable per-solve context shared (read-only) by every worker.
 struct SearchContext {
   SearchContext(const Dag& dag, int m_in, const BnbConfig& config_in)
-      : flat(dag),
+      : snapshot(dag),
+        flat(snapshot.view()),
         m(m_in),
         config(config_in),
         down(graph::down_lengths(flat)) {
@@ -96,7 +97,11 @@ struct SearchContext {
     return down[a] != down[b] ? down[a] > down[b] : a < b;
   }
 
-  FlatDag flat;
+  SearchContext(const SearchContext&) = delete;  // `flat` views `snapshot`
+  SearchContext& operator=(const SearchContext&) = delete;
+
+  FlatDag snapshot;
+  graph::FlatView flat;
   int m;
   BnbConfig config;
   std::vector<Time> down;

@@ -1,8 +1,10 @@
 #include "exact/list_heuristics.h"
 
+#include "graph/flat_dag.h"
+
 namespace hedra::exact {
 
-HeuristicResult best_heuristic_makespan(const graph::FlatDag& flat, int m,
+HeuristicResult best_heuristic_makespan(const graph::FlatView& view, int m,
                                         int random_tries) {
   HeuristicResult best;
   bool have = false;
@@ -12,7 +14,7 @@ HeuristicResult best_heuristic_makespan(const graph::FlatDag& flat, int m,
     config.policy = policy;
     config.seed = seed;
     config.validate = false;  // hot path; the simulator is golden-pinned
-    const graph::Time makespan = sim::simulated_makespan(flat, config);
+    const graph::Time makespan = sim::simulated_makespan(view, config);
     if (!have || makespan < best.makespan) {
       best.makespan = makespan;
       best.policy = policy;
@@ -32,7 +34,7 @@ HeuristicResult best_heuristic_makespan(const graph::FlatDag& flat, int m,
 HeuristicResult best_heuristic_makespan(const graph::Dag& dag, int m,
                                         int random_tries) {
   const graph::FlatDag flat(dag);
-  return best_heuristic_makespan(flat, m, random_tries);
+  return best_heuristic_makespan(flat.view(), m, random_tries);
 }
 
 }  // namespace hedra::exact

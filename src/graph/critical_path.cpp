@@ -44,9 +44,6 @@ CriticalPathInfo::CriticalPathInfo(const FlatView& view) {
   }
 }
 
-CriticalPathInfo::CriticalPathInfo(const FlatDag& flat)
-    : CriticalPathInfo(flat.view()) {}
-
 bool CriticalPathInfo::on_critical_path(const Dag& dag, NodeId v) const {
   return up(v) + down(v) - dag.wcet(v) == length_;
 }
@@ -68,10 +65,6 @@ Time critical_path_length(const FlatView& view) {
   return length;
 }
 
-Time critical_path_length(const FlatDag& flat) {
-  return critical_path_length(flat.view());
-}
-
 std::vector<Time> down_lengths(const FlatView& view) {
   const std::size_t n = view.num_nodes();
   std::vector<Time> down(n, 0);
@@ -83,10 +76,6 @@ std::vector<Time> down_lengths(const FlatView& view) {
     down[v] = best + view.wcet(v);
   }
   return down;
-}
-
-std::vector<Time> down_lengths(const FlatDag& flat) {
-  return down_lengths(flat.view());
 }
 
 std::vector<NodeId> extract_critical_path(const Dag& dag) {

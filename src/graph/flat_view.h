@@ -1,17 +1,15 @@
 #pragma once
 
 /// \file flat_view.h
-/// Non-owning CSR view of one DAG's flat arrays.
+/// Non-owning CSR view of one DAG's flat arrays — the one graph type every
+/// walk of the analysis, simulation and exact layers reads (longest paths,
+/// the platform bound's chain walks, the simulator, the B&B search).
 ///
-/// `FlatDag` owns its arrays and always snapshots a live `Dag`.  The batch
-/// pipeline inverts that: `FlatDagBatch` owns one contiguous arena for a
-/// whole batch and hands out `FlatView`s — spans into the arena with the
-/// exact accessor vocabulary of `FlatDag`, so every template that walks a
-/// `FlatDag` (longest paths, weighted chain walks, the simulator) works on a
-/// view unchanged.  A view may or may not have a source `Dag` behind it:
-/// arena-generated DAGs are never materialised unless a caller asks, so
-/// `source()` is a nullable pointer here (unlike `FlatDag::source()`, which
-/// is a reference by construction).
+/// Two owners hand out views: `FlatDag` snapshots a live `Dag`, and
+/// `FlatDagBatch` owns one contiguous arena for a whole batch.  A view may
+/// or may not have a source `Dag` behind it: arena-generated DAGs are never
+/// materialised unless a caller asks, so `source()` is a nullable pointer.
+/// Entry points that record a trace (sim::simulate) need a Dag-backed view.
 
 #include <cstdint>
 #include <span>

@@ -17,7 +17,7 @@ void check_timing(Time period, Time deadline) {
 }  // namespace
 
 DagTask::DagTask(Dag dag, Time period, Time deadline, std::string name)
-    : dag_(std::make_shared<Dag>(std::move(dag))),
+    : dag_(std::make_shared<const Dag>(std::move(dag))),
       period_(period),
       deadline_(deadline),
       name_(std::move(name)) {
@@ -43,17 +43,9 @@ DagTask DagTask::implicit(Dag dag, Time period, std::string name) {
 }
 
 const Dag& DagTask::dag() const {
-  if (!dag_) dag_ = std::make_shared<Dag>(batch_->materialize(batch_index_));
-  return *dag_;
-}
-
-Dag& DagTask::mutable_dag() {
   if (!dag_) {
-    dag_ = std::make_shared<Dag>(batch_->materialize(batch_index_));
-  } else if (dag_.use_count() > 1) {
-    dag_ = std::make_shared<Dag>(*dag_);  // copy-on-write: detach from copies
+    dag_ = std::make_shared<const Dag>(batch_->materialize(batch_index_));
   }
-  batch_.reset();  // the arena no longer reflects upcoming mutations
   return *dag_;
 }
 

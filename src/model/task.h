@@ -25,8 +25,8 @@ using graph::Time;
 ///   - *eager*: constructed from a `Dag`, held behind a shared immutable
 ///     handle (the classic path — file round-trips, hand-built tests,
 ///     rewrites).  Copies of the task alias one graph, so copying a task
-///     set costs a handle per task, not a graph per task; `mutable_dag()`
-///     copies the graph first if another task still shares it;
+///     set costs a handle per task, not a graph per task.  A task's graph
+///     never changes: an edited graph is a new task;
 ///   - *arena-backed*: constructed from a shared `graph::FlatDagBatch`
 ///     record.  The CSR arrays ARE the task's graph; `dag()` materialises a
 ///     field-identical `Dag` lazily, only if something actually asks for
@@ -52,12 +52,6 @@ class DagTask {
   /// order).  Not thread-safe across concurrent first calls on the SAME
   /// task object.
   [[nodiscard]] const Dag& dag() const;
-
-  /// Mutable graph access.  Detaches an arena-backed task from its batch
-  /// first (the flat view would silently go stale under mutation), and
-  /// copies the graph if another task shares it (copy-on-write), so a
-  /// mutation never shows through a copy of this task.
-  [[nodiscard]] Dag& mutable_dag();
 
   /// True when the task still aliases its generation arena, i.e.
   /// flat_view() is available without materialising anything.
@@ -85,9 +79,8 @@ class DagTask {
 
  private:
   /// Present for eager tasks; lazily filled for arena-backed ones.  Shared
-  /// between copies; only mutable_dag() writes through it, and only once
-  /// no other task holds it.
-  mutable std::shared_ptr<Dag> dag_;
+  /// between copies.
+  mutable std::shared_ptr<const Dag> dag_;
   std::shared_ptr<const graph::FlatDagBatch> batch_;  ///< null when eager
   std::size_t batch_index_ = 0;
   Time period_;

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/analysis_cache.h"
+#include "analysis/platform_rta.h"
 #include "graph/dag_io.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -253,8 +253,7 @@ StagedReply AdmissionService::stage_admit_locked(const model::DagTask& task,
     // host core, which lower-bounds the contended fixpoint at any
     // allocation.  seed > D is therefore still a proof of infeasibility;
     // anything else stays unproven and is NOT admitted.
-    analysis::AnalysisCache cache(task.dag());
-    const Frac seed = cache.r_platform(config_.platform);
+    const Frac seed = analysis::rta_platform(task.dag(), config_.platform);
     if (seed > Frac(task.deadline())) {
       reply.decision = Decision::kRejected;
       reply.outcome = util::Outcome::kComplete;

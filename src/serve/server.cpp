@@ -142,8 +142,6 @@ ServerStats run_server(std::istream& in, std::ostream& out,
   // reader, so failures become kInvalid requests answered in order.
   std::thread reader([&] {
     for (;;) {
-      const std::int64_t parse_start =
-          config.tracer != nullptr ? util::monotonic_now_ns() : 0;
       std::optional<Request> request;
       try {
         request = read_request(in);
@@ -154,6 +152,10 @@ ServerStats run_server(std::istream& in, std::ostream& out,
         request = std::move(invalid);
       }
       if (!request.has_value()) break;  // EOF
+      // Stamped after the blocking read returns: the request and parse
+      // spans must not hold the time spent waiting for the client.
+      const std::int64_t parse_start =
+          config.tracer != nullptr ? util::monotonic_now_ns() : 0;
       if (request->kind == Request::Kind::kAdmit) parse_body(*request);
       if (config.tracer != nullptr) {
         // Tracing is best-effort: an injected allocation fault here drops

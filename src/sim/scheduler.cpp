@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/critical_path.h"
+#include "graph/flat_dag.h"
 
 namespace hedra::sim {
 
@@ -383,39 +384,34 @@ class Simulation {
   std::size_t completed_ = 0;
 };
 
-/// A trace-recording run over `view`, whose source Dag is `dag`.
-ScheduleTrace run_traced(const graph::FlatView& view, const Dag* dag,
-                         const SimConfig& config,
+/// A trace-recording run over `view`, validated against its source Dag.
+ScheduleTrace run_traced(const graph::FlatView& view, const SimConfig& config,
                          const std::vector<Time>* actual) {
+  HEDRA_REQUIRE(view.num_nodes() > 0, "cannot simulate an empty graph");
+  HEDRA_REQUIRE(view.source() != nullptr,
+                "trace recording requires a Dag-backed view");
   Simulation<TraceRecorder> sim(
       view, config, actual,
-      TraceRecorder(dag, config.cores,
+      TraceRecorder(view.source(), config.cores,
                     units_for(view.max_device(), config.device_units)));
   return std::move(sim.run().trace);
 }
 
 }  // namespace
 
-ScheduleTrace simulate(const FlatDag& flat, const SimConfig& config) {
-  HEDRA_REQUIRE(flat.num_nodes() > 0, "cannot simulate an empty graph");
-  return run_traced(flat.view(), &flat.source(), config, nullptr);
+ScheduleTrace simulate(const graph::FlatView& view, const SimConfig& config) {
+  return run_traced(view, config, nullptr);
 }
 
 ScheduleTrace simulate(const Dag& dag, const SimConfig& config) {
-  HEDRA_REQUIRE(dag.num_nodes() > 0, "cannot simulate an empty graph");
-  const FlatDag flat(dag);  // throws on cyclic input
-  return run_traced(flat.view(), &dag, config, nullptr);
+  const graph::FlatDag flat(dag);  // throws on cyclic input
+  return simulate(flat.view(), config);
 }
 
 Time simulated_makespan(const graph::FlatView& view, const SimConfig& config) {
   HEDRA_REQUIRE(view.num_nodes() > 0, "cannot simulate an empty graph");
-  if (config.validate) {
-    // Validation needs a full trace (and the source Dag to check against),
-    // so honour the flag by taking the recording path.
-    HEDRA_REQUIRE(view.source() != nullptr,
-                  "trace validation requires a Dag-backed view");
-    return run_traced(view, view.source(), config, nullptr).makespan();
-  }
+  // Validation needs a full trace, so the flag takes the recording path.
+  if (config.validate) return simulate(view, config).makespan();
   Simulation<MakespanRecorder> sim(
       view, config, nullptr,
       MakespanRecorder(units_for(view.max_device(), config.device_units)));
@@ -423,26 +419,20 @@ Time simulated_makespan(const graph::FlatView& view, const SimConfig& config) {
 }
 
 Time simulated_makespan(const Dag& dag, const SimConfig& config) {
-  HEDRA_REQUIRE(dag.num_nodes() > 0, "cannot simulate an empty graph");
-  const FlatDag flat(dag);  // throws on cyclic input
+  const graph::FlatDag flat(dag);  // throws on cyclic input
   return simulated_makespan(flat.view(), config);
 }
 
-Time simulated_makespan(const FlatDag& flat, const SimConfig& config) {
-  return simulated_makespan(flat.view(), config);
-}
-
-ScheduleTrace simulate_with_times(const FlatDag& flat, const SimConfig& config,
+ScheduleTrace simulate_with_times(const graph::FlatView& view,
+                                  const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
-  HEDRA_REQUIRE(flat.num_nodes() > 0, "cannot simulate an empty graph");
-  return run_traced(flat.view(), &flat.source(), config, &actual_times);
+  return run_traced(view, config, &actual_times);
 }
 
 ScheduleTrace simulate_with_times(const Dag& dag, const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
-  HEDRA_REQUIRE(dag.num_nodes() > 0, "cannot simulate an empty graph");
-  const FlatDag flat(dag);  // throws on cyclic input
-  return run_traced(flat.view(), &dag, config, &actual_times);
+  const graph::FlatDag flat(dag);  // throws on cyclic input
+  return simulate_with_times(flat.view(), config, actual_times);
 }
 
 std::vector<Time> random_actual_times(const Dag& dag, double scale_min,

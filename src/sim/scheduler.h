@@ -29,7 +29,7 @@
 ///    compatible node is ready.
 ///
 /// Implementation (rewritten for the Monte-Carlo hot path): the simulation
-/// runs over a graph::FlatDag CSR snapshot, completions live in a binary
+/// runs over a graph::FlatView CSR view, completions live in a binary
 /// min-heap keyed on finish time (the historical ready/running lists were
 /// rescanned linearly on every event), and the host ready set is held in a
 /// policy-indexed structure — FIFO deque, LIFO stack, or a priority heap —
@@ -39,13 +39,11 @@
 
 #include <cstdint>
 
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 #include "sim/trace.h"
 #include "util/rng.h"
 
 namespace hedra::sim {
-
-using graph::FlatDag;
 
 /// Ready-queue ordering for host cores.
 enum class Policy : std::uint8_t {
@@ -91,16 +89,15 @@ struct SimConfig {
 /// bug).
 [[nodiscard]] ScheduleTrace simulate(const Dag& dag, const SimConfig& config);
 
-/// Same simulation over a prebuilt CSR snapshot — the sweep entry point: a
+/// Same simulation over a prebuilt CSR view, which must be Dag-backed
+/// (view.source() != nullptr: the trace is recorded against it) — a
 /// 5-policy × 4-m sweep snapshots the DAG once and reuses it for all 20
 /// runs.
-[[nodiscard]] ScheduleTrace simulate(const FlatDag& flat,
+[[nodiscard]] ScheduleTrace simulate(const graph::FlatView& view,
                                      const SimConfig& config);
 
 /// Convenience: makespan of simulate().
 [[nodiscard]] Time simulated_makespan(const Dag& dag, const SimConfig& config);
-[[nodiscard]] Time simulated_makespan(const FlatDag& flat,
-                                      const SimConfig& config);
 
 /// Makespan over a non-owning CSR view — the Monte-Carlo batch hot path.
 /// With `config.validate` off (the sweep setting) the run records no trace
@@ -123,7 +120,7 @@ struct SimConfig {
     const Dag& dag, const SimConfig& config,
     const std::vector<Time>& actual_times);
 [[nodiscard]] ScheduleTrace simulate_with_times(
-    const FlatDag& flat, const SimConfig& config,
+    const graph::FlatView& view, const SimConfig& config,
     const std::vector<Time>& actual_times);
 
 /// Draws actual times uniformly from [ceil(scale_min·WCET), WCET] per node

@@ -5,8 +5,8 @@
 #include <optional>
 #include <sstream>
 
-#include "analysis/analysis_cache.h"
-#include "analysis/batch_kernels.h"
+#include "analysis/platform_rta.h"
+#include "graph/flat_dag.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
 
@@ -80,7 +80,7 @@ void task_volumes(const DagTask& task, std::size_t num_devices,
 }
 
 /// The platform vectors of `set`, with room for its per-task volumes.
-SetQuantities platform_quantities(const TaskSet& set) {
+SetQuantities set_quantities(const TaskSet& set) {
   SetQuantities q;
   const Platform& platform = set.platform();
   q.num_devices = static_cast<std::size_t>(platform.num_devices());
@@ -351,36 +351,34 @@ FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
   return *result;
 }
 
-/// Per-task isolated platform bound R(m), served from the arena view when
-/// the task is arena-backed (no Dag, no FlatDag snapshot) and from a
-/// per-DAG AnalysisCache otherwise.  Both paths return bit-identical
-/// rationals (the view path is AnalysisCache::r_platform's exact formula).
-/// Lives for one task's partition loop only; what outlives it is the
-/// seeds it produced (AnalysisMemo), never the cache.
+/// Per-task isolated platform bound R(m): the task's quantities, measured
+/// once over its CSR view — the arena slice of an arena-backed task, or a
+/// snapshot taken once of an eager task's graph — then platform_bound per
+/// m.  Lives for one task's partition loop only; what outlives it is the
+/// seeds it produced (AnalysisMemo), never the view.
 class SeedBound {
  public:
   SeedBound(const DagTask& task, const SetQuantities& q) : q_(q) {
     if (task.has_flat_view()) {
-      view_.emplace(task.flat_view());
-      quantities_ = analysis::platform_quantities_view(*view_);
+      view_ = task.flat_view();
     } else {
-      cache_.emplace(task.dag());
+      view_ = snapshot_.emplace(task.dag()).view();
     }
+    quantities_ = analysis::platform_quantities(view_);
   }
+  SeedBound(const SeedBound&) = delete;  // `view_` may point into `snapshot_`
+  SeedBound& operator=(const SeedBound&) = delete;
 
-  [[nodiscard]] Frac operator()(int m) {
-    if (view_) {
-      return analysis::platform_bound(quantities_, *view_, m, q_.units,
-                                      q_.speedups);
-    }
-    return cache_->r_platform(m, q_.units, q_.speedups);
+  [[nodiscard]] Frac operator()(int m) const {
+    return analysis::platform_bound(quantities_, view_, m, q_.units,
+                                    q_.speedups);
   }
 
  private:
   const SetQuantities& q_;
-  std::optional<graph::FlatView> view_;
+  std::optional<graph::FlatDag> snapshot_;  ///< eager tasks only
+  graph::FlatView view_;
   analysis::PlatformQuantities quantities_;
-  std::optional<analysis::AnalysisCache> cache_;
 };
 
 /// Task `index`'s verdict on at most `remaining` cores: the smallest m
@@ -462,7 +460,7 @@ ContentionAnalysis analyse(const TaskSet& set, const PriorAnalysis* prior,
   HEDRA_REQUIRE(!set.empty(), "contention_rta needs a non-empty task set");
   constexpr std::size_t kNone = PriorAnalysis::kAppended;
   const std::size_t n = set.size();
-  SetQuantities q = platform_quantities(set);
+  SetQuantities q = set_quantities(set);
   const std::size_t num_devices = q.num_devices;
 
   // Where each task's previous verdict and memo entry sit in the previous
@@ -602,7 +600,7 @@ Frac contention_response(const TaskSet& set, std::size_t index, int cores,
                          bool* converged, util::Budget* budget) {
   HEDRA_REQUIRE(index < set.size(), "task index out of range");
   HEDRA_REQUIRE(cores >= 1, "need at least one dedicated host core");
-  SetQuantities q = platform_quantities(set);
+  SetQuantities q = set_quantities(set);
   for (std::size_t i = 0; i < set.size(); ++i) {
     task_volumes(set[i], q.num_devices,
                  q.volume.data() + i * q.num_devices);

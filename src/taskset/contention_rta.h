@@ -29,7 +29,7 @@
 /// or crosses D_i (unschedulable at this core count).  A task with no
 /// device-sharing competitors — in particular any SINGLE-task set — takes
 /// zero iterations past the seed, so its bound equals
-/// AnalysisCache::r_platform with exact rational equality (regression-
+/// analysis::platform_bound with exact rational equality (regression-
 /// pinned; the acceptance criterion of this subsystem).
 ///
 /// Host cores are PARTITIONED, federated-style: tasks are processed in

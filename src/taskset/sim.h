@@ -3,7 +3,7 @@
 /// \file sim.h (taskset)
 /// Discrete-event simulation of a WHOLE sporadic task set on one shared
 /// platform — the taskset layer's counterpart of sim/scheduler.h, layered
-/// on the same ingredients (graph::FlatDag CSR snapshots, a binary min-heap
+/// on the same ingredients (graph::FlatView CSR views, a binary min-heap
 /// of timed events) but with two new dimensions:
 ///
 ///  - RELEASES: every task τ_i releases a job at 0, T_i, 2·T_i, ... (the

@@ -1,9 +1,9 @@
 /// \file batch_kernels_test.cpp
-/// The vectorized batch kernels must be EXACTLY equal to the per-DAG
-/// AnalysisCache path: same normalised rationals for every (DAG, m) bound,
-/// same PlatformQuantities fields, and the SIMD volume backend must agree
-/// with the scalar reference on every input shape (including the <4-lane
-/// tails the masked loop peels).
+/// analyze_platform_batch must be EXACTLY equal to the Dag-side reference of
+/// tests/common/chain_walk_oracle.h: same normalised rationals for every
+/// (DAG, m) bound, same PlatformQuantities fields.  The SIMD volume backend
+/// must agree with the scalar reference on every input shape (including the
+/// <4-lane tails the masked loop peels).
 
 #include "analysis/batch_kernels.h"
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chain_walk_oracle.h"
 #include "exp/experiment.h"
 #include "gen/params.h"
 #include "util/rng.h"
@@ -71,29 +72,36 @@ TEST(BatchKernelsTest, VolumesAccumulateIntoExistingEntries) {
   EXPECT_EQ(out, (std::vector<Time>{116, 207}));
 }
 
-TEST(BatchKernelsTest, QuantitiesBatchMatchesAnalysisCache) {
+TEST(BatchKernelsTest, QuantitiesMatchTheDagReference) {
+  const std::vector<int> cores{2};
   for (const int devices : {1, 2, 3}) {
     BatchConfig config = small_config(300u + devices, 0.3);
     config.params.num_devices = devices;
     config.params.offloads_per_device = 2;
     const FlatDagBatch batch = exp::generate_flat_batch(config);
-    const std::vector<PlatformQuantities> got =
-        platform_quantities_batch(batch);
-    ASSERT_EQ(got.size(), batch.size());
+    const PlatformBatchAnalysis result = analyze_platform_batch(batch, cores);
+    ASSERT_EQ(result.quantities.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE("devices " + std::to_string(devices) + ", dag " +
                    std::to_string(i));
-      AnalysisCache cache(batch, i);
-      const PlatformQuantities& want = cache.platform_quantities();
-      EXPECT_EQ(got[i].vol_host, want.vol_host);
-      EXPECT_EQ(got[i].max_host_path, want.max_host_path);
-      EXPECT_EQ(got[i].device_volume_sum, want.device_volume_sum);
-      EXPECT_EQ(got[i].device_volumes, want.device_volumes);
+      const graph::Dag dag = batch.materialize(i);
+      const PlatformQuantities& got = result.quantities[i];
+      EXPECT_EQ(got.vol_host, dag.volume_on(graph::kHostDevice));
+      EXPECT_EQ(Frac(got.max_host_path), testing::reference_host_path(dag));
+      std::vector<std::pair<DeviceId, Time>> volumes;
+      Time sum = 0;
+      for (DeviceId d = 1; d <= dag.max_device(); ++d) {
+        if (dag.nodes_on(d).empty()) continue;
+        volumes.emplace_back(d, dag.volume_on(d));
+        sum += dag.volume_on(d);
+      }
+      EXPECT_EQ(got.device_volumes, volumes);
+      EXPECT_EQ(got.device_volume_sum, sum);
     }
   }
 }
 
-TEST(BatchKernelsTest, SingleUnitBoundsEqualCacheExactly) {
+TEST(BatchKernelsTest, SingleUnitBoundsEqualTheReferenceExactly) {
   const std::vector<int> cores{1, 2, 4, 8};
   for (const int devices : {1, 2, 3}) {
     BatchConfig config = small_config(400u + devices, 0.25);
@@ -104,17 +112,18 @@ TEST(BatchKernelsTest, SingleUnitBoundsEqualCacheExactly) {
     ASSERT_EQ(result.quantities.size(), batch.size());
     ASSERT_EQ(result.bounds.size(), batch.size() * cores.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      AnalysisCache cache(batch, i);
+      const graph::Dag dag = batch.materialize(i);
       for (std::size_t mi = 0; mi < cores.size(); ++mi) {
         // Exact rational equality, not to_double closeness.
-        EXPECT_EQ(result.bound(i, mi), cache.r_platform(cores[mi]))
+        EXPECT_EQ(result.bound(i, mi),
+                  testing::reference_platform_bound(dag, cores[mi]))
             << "devices " << devices << ", dag " << i << ", m " << cores[mi];
       }
     }
   }
 }
 
-TEST(BatchKernelsTest, MultiplicityAndSpeedupBoundsEqualCacheExactly) {
+TEST(BatchKernelsTest, MultiplicityAndSpeedupBoundsEqualTheReferenceExactly) {
   const std::vector<int> cores{2, 4, 8};
   BatchConfig config = small_config(777, 0.35);
   config.params.num_devices = 2;
@@ -129,27 +138,17 @@ TEST(BatchKernelsTest, MultiplicityAndSpeedupBoundsEqualCacheExactly) {
       const PlatformBatchAnalysis result =
           analyze_platform_batch(batch, cores, units, speedups);
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        AnalysisCache cache(batch, i);
+        const graph::Dag dag = batch.materialize(i);
         for (std::size_t mi = 0; mi < cores.size(); ++mi) {
           EXPECT_EQ(result.bound(i, mi),
-                    cache.r_platform(cores[mi], units, speedups))
+                    testing::reference_platform_bound(dag, cores[mi], units,
+                                                      speedups))
               << "units {" << units[0] << "," << units[1] << "} dag " << i
               << " m " << cores[mi];
         }
       }
     }
   }
-}
-
-TEST(BatchKernelsTest, AllOnesGeneralOverloadDelegatesToSingleUnit) {
-  const std::vector<int> cores{2, 8};
-  const FlatDagBatch batch = exp::generate_flat_batch(small_config(11, 0.2));
-  const std::vector<int> units{1};
-  const std::vector<Frac> speedups{Frac(1)};
-  const PlatformBatchAnalysis general =
-      analyze_platform_batch(batch, cores, units, speedups);
-  const PlatformBatchAnalysis single = analyze_platform_batch(batch, cores);
-  EXPECT_EQ(general.bounds, single.bounds);
 }
 
 }  // namespace

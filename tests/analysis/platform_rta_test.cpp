@@ -3,9 +3,11 @@
 #include "analysis/analysis_cache.h"
 #include "analysis/multi_offload.h"
 #include "analysis/platform_rta.h"
+#include "common/chain_walk_oracle.h"
 #include "common/fixtures.h"
 #include "exp/experiment.h"
 #include "gen/multi_device.h"
+#include "graph/flat_dag.h"
 #include "util/rng.h"
 
 /// The K-device chain bound (analysis/platform_rta.h) against its K = 1
@@ -171,10 +173,11 @@ TEST(PlatformRtaTest, HandCheckedMultiUnitExample) {
             Frac(45, 2));
 }
 
-/// TENTPOLE REGRESSION PIN: on any all-single-unit platform the
-/// generalised walk and bound reduce to the pre-multiplicity arithmetic
-/// EXACTLY (rational equality on generated batches), and the Dag / FlatDag
-/// weighting overloads agree with each other.
+/// REGRESSION PIN: on any all-single-unit platform the generalised walk
+/// and bound reduce to the pre-multiplicity arithmetic EXACTLY — the walk
+/// to max_host_path·(m−1)/m and the bound to vol_host/m + Σ_d vol_d +
+/// max_host_path·(m−1)/m, with the host path taken from the Dag-side
+/// oracle.
 TEST(PlatformRtaTest, SingleUnitWeightingReproducesTheLegacyBoundExactly) {
   Rng master(1234);
   gen::HierarchicalParams params;
@@ -186,17 +189,106 @@ TEST(PlatformRtaTest, SingleUnitWeightingReproducesTheLegacyBoundExactly) {
     Rng rng = master.fork();
     const auto dag = gen::generate_multi_device(params, 0.35, rng);
     const graph::FlatDag flat(dag);
+    const Frac host_path = testing::reference_host_path(dag);
+    EXPECT_EQ(Frac(analysis::max_host_path(flat.view())), host_path);
     const std::vector<int> ones(3, 1);
-    analysis::AnalysisCache cache(dag);
     for (const int m : {1, 2, 4, 8, 16}) {
       const analysis::ChainWeighting weighting{m, ones, {}};
-      const Frac walk = analysis::max_host_path(dag, weighting);
-      EXPECT_EQ(walk, Frac(analysis::max_host_path(dag) * (m - 1), m))
+      const Frac legacy_walk = host_path * Frac(m - 1, m);
+      EXPECT_EQ(analysis::max_host_path(flat.view(), weighting), legacy_walk)
           << "i=" << i << " m=" << m;
-      EXPECT_EQ(walk, analysis::max_host_path(flat, weighting));
-      EXPECT_EQ(cache.r_platform(m, ones), cache.r_platform(m));
-      EXPECT_EQ(cache.r_platform(m, ones),
-                analysis::rta_platform(dag, Platform::symmetric(m, 3, 1)));
+      Frac legacy = Frac(dag.volume_on(graph::kHostDevice), m) + legacy_walk;
+      for (graph::DeviceId d = 1; d <= 3; ++d) legacy += dag.volume_on(d);
+      EXPECT_EQ(analysis::rta_platform(dag, Platform::symmetric(m, 3, 1)),
+                legacy)
+          << "i=" << i << " m=" << m;
+    }
+  }
+}
+
+/// The weighted walk and the whole bound against the exact Dag-side oracle
+/// (tests/common/chain_walk_oracle.h), for K ∈ {1,2,3} over every unit
+/// vector in {1,2,3}^K and every speedup vector in {1, 3/2, 3}^K.
+TEST(PlatformRtaTest, WeightedWalkMatchesTheExactOracle) {
+  Rng master(2718);
+  const std::vector<Frac> speed_values{Frac(1), Frac(3, 2), Frac(3)};
+  for (const int devices : {1, 2, 3}) {
+    gen::HierarchicalParams params;
+    params.min_nodes = 20;
+    params.max_nodes = 60;
+    params.num_devices = devices;
+    params.offloads_per_device = 2;
+    int combos = 1;
+    for (int d = 0; d < devices; ++d) combos *= 9;
+    for (int i = 0; i < 2; ++i) {
+      Rng rng = master.fork();
+      const auto dag = gen::generate_multi_device(params, 0.35, rng);
+      const graph::FlatDag flat(dag);
+      const analysis::PlatformQuantities q =
+          analysis::platform_quantities(flat.view());
+      std::vector<int> units(static_cast<std::size_t>(devices));
+      std::vector<Frac> speedups(units.size());
+      for (int code = 0; code < combos; ++code) {
+        int rest = code;
+        for (std::size_t d = 0; d < units.size(); ++d) {
+          units[d] = 1 + rest % 3;
+          speedups[d] = speed_values[static_cast<std::size_t>(rest / 3 % 3)];
+          rest /= 9;
+        }
+        for (const int m : {1, 2, 4}) {
+          SCOPED_TRACE("K=" + std::to_string(devices) + " dag " +
+                       std::to_string(i) + " code " + std::to_string(code) +
+                       " m=" + std::to_string(m));
+          const analysis::ChainWeighting weighting{m, units, speedups};
+          EXPECT_EQ(analysis::max_host_path(flat.view(), weighting),
+                    testing::reference_chain_walk(dag, m, units, speedups));
+          EXPECT_EQ(
+              analysis::platform_bound(q, flat.view(), m, units, speedups),
+              testing::reference_platform_bound(dag, m, units, speedups));
+        }
+      }
+    }
+  }
+}
+
+/// Unit counts whose common denominator lies just below or just above
+/// 2^31: the first weighting runs the int64 walk, the rest the exact Frac
+/// fallback; both must equal the oracle.
+TEST(PlatformRtaTest, WeightedWalkMatchesTheOracleAcrossTheInt64Limit) {
+  // 46337·46339 < 2^31 < 46349·46351, and consecutive odd numbers are
+  // coprime, so the lcm of each pair is its product.
+  struct Weighting {
+    int m;
+    std::vector<int> units;
+    std::vector<Frac> speedups;
+  };
+  const std::vector<Weighting> weightings{
+      {1, {46337, 46339}, {}},                      // below: int64 walk
+      {1, {46349, 46351}, {}},                      // above: Frac fallback
+      {2, {46337, 46339}, {}},                      // m doubles it past 2^31
+      {1, {46337, 46339}, {Frac(3, 2), Frac(1)}}};  // so does num(s_1) = 3
+  Rng master(3141);
+  gen::HierarchicalParams params;
+  params.min_nodes = 20;
+  params.max_nodes = 80;
+  params.num_devices = 2;
+  params.offloads_per_device = 3;
+  for (int i = 0; i < 4; ++i) {
+    Rng rng = master.fork();
+    const auto dag = gen::generate_multi_device(params, 0.4, rng);
+    const graph::FlatDag flat(dag);
+    const analysis::PlatformQuantities q =
+        analysis::platform_quantities(flat.view());
+    for (std::size_t w = 0; w < weightings.size(); ++w) {
+      SCOPED_TRACE("dag " + std::to_string(i) + " weighting " +
+                   std::to_string(w));
+      const Weighting& c = weightings[w];
+      const analysis::ChainWeighting weighting{c.m, c.units, c.speedups};
+      EXPECT_EQ(analysis::max_host_path(flat.view(), weighting),
+                testing::reference_chain_walk(dag, c.m, c.units, c.speedups));
+      EXPECT_EQ(
+          analysis::platform_bound(q, flat.view(), c.m, c.units, c.speedups),
+          testing::reference_platform_bound(dag, c.m, c.units, c.speedups));
     }
   }
 }

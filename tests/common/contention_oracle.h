@@ -19,8 +19,7 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/analysis_cache.h"
-#include "analysis/batch_kernels.h"
+#include "common/chain_walk_oracle.h"
 #include "taskset/contention_rta.h"
 #include "taskset/taskset.h"
 
@@ -260,18 +259,9 @@ inline FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
   return *result;
 }
 
-/// R_i(m): from the arena view when the task has one, from an
-/// AnalysisCache over its Dag otherwise.
+/// R_i(m) from the Dag-side reference of the platform bound.
 inline Frac seed_bound(const DagTask& task, const SetQuantities& q, int m) {
-  if (task.has_flat_view()) {
-    const graph::FlatView view = task.flat_view();
-    const analysis::PlatformQuantities quantities =
-        analysis::platform_quantities_view(view);
-    return analysis::platform_bound(quantities, view, m, q.units,
-                                    q.speedups);
-  }
-  analysis::AnalysisCache cache(task.dag());
-  return cache.r_platform(m, q.units, q.speedups);
+  return reference_platform_bound(task.dag(), m, q.units, q.speedups);
 }
 
 /// The from-scratch admission test.  Requires a validated, non-empty set.

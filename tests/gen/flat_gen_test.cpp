@@ -27,8 +27,8 @@ using graph::FlatDagBatch;
 using graph::FlatView;
 using graph::NodeId;
 
-/// Element-wise equality of a legacy FlatDag snapshot and an arena view.
-void expect_view_equals_flat(const FlatView& view, const FlatDag& flat,
+/// Element-wise equality of an arena view and a legacy snapshot's view.
+void expect_view_equals_flat(const FlatView& view, const FlatView& flat,
                              const std::string& context) {
   SCOPED_TRACE(context);
   ASSERT_EQ(view.num_nodes(), flat.num_nodes());
@@ -73,7 +73,7 @@ void expect_batch_equals_legacy(const BatchConfig& config,
   ASSERT_EQ(batch.size(), legacy.size()) << context;
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     const FlatDag flat(legacy[i]);
-    expect_view_equals_flat(batch.view(i), flat,
+    expect_view_equals_flat(batch.view(i), flat.view(),
                             context + ", dag " + std::to_string(i));
     expect_dag_equals(batch.materialize(i), legacy[i],
                       context + ", dag " + std::to_string(i));
@@ -147,7 +147,7 @@ TEST(FlatGenTest, HierarchicalFlatMatchesLegacyStructure) {
   FlatDagBatch batch;
   generate_hierarchical_flat(params, flat_rng, batch);
   const FlatDag flat(dag);
-  expect_view_equals_flat(batch.view(0), flat, "plain hierarchical");
+  expect_view_equals_flat(batch.view(0), flat.view(), "plain hierarchical");
   expect_dag_equals(batch.materialize(0), dag, "plain hierarchical");
 }
 

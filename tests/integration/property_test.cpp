@@ -144,12 +144,15 @@ TEST_P(SoundnessSweep, PlatformBoundDominatesEveryPolicyOnEveryDevice) {
         sim::SimConfig config;
         config.cores = m;
         config.policy = policy;
-        EXPECT_LE(Frac(sim::simulated_makespan(cache.flat(), config)), bound)
+        const graph::Time observed =
+            sim::simulated_makespan(cache.flat_view(), config);
+        EXPECT_LE(Frac(observed), bound)
             << "K=" << num_devices << " m=" << m
             << " policy=" << sim::to_string(policy);
         const auto actual = sim::random_actual_times(dag, 0.3, rng);
         const graph::Time early =
-            sim::simulate_with_times(cache.flat(), config, actual).makespan();
+            sim::simulate_with_times(cache.flat_view(), config, actual)
+                .makespan();
         EXPECT_LE(Frac(early), bound)
             << "early completion, K=" << num_devices << " m=" << m
             << " policy=" << sim::to_string(policy);
@@ -188,12 +191,14 @@ TEST_P(SoundnessSweep, MultiUnitPlatformBoundDominatesEveryPolicy) {
           config.cores = m;
           config.policy = policy;
           config.device_units = device_units;
-          EXPECT_LE(Frac(sim::simulated_makespan(cache.flat(), config)), bound)
+          const graph::Time observed =
+              sim::simulated_makespan(cache.flat_view(), config);
+          EXPECT_LE(Frac(observed), bound)
               << "K=" << num_devices << " units=" << units << " m=" << m
               << " policy=" << sim::to_string(policy);
           const auto actual = sim::random_actual_times(dag, 0.3, rng);
           const graph::Time early =
-              sim::simulate_with_times(cache.flat(), config, actual)
+              sim::simulate_with_times(cache.flat_view(), config, actual)
                   .makespan();
           EXPECT_LE(Frac(early), bound)
               << "early completion, K=" << num_devices << " units=" << units

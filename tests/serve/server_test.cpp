@@ -1,11 +1,18 @@
 #include "serve/server.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/fd_stream.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -215,6 +222,50 @@ TEST(ServerTest, TracedSessionRecordsTheSpanTree) {
   EXPECT_NE(json.find("\"tid\":" + std::to_string(traces[2]->id())),
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"rta-fixpoint\""), std::string::npos);
+}
+
+/// How long the client idles before its second request.
+constexpr auto kPause = std::chrono::milliseconds(250);
+
+/// The reader blocks in read_request until the client sends a line; that
+/// wait is idle time, not parsing, so it must stay out of the spans.
+TEST(ServerTest, ParseSpanExcludesTheWaitForTheClient) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread client([write_fd = fds[1]] {
+    {
+      hedra::testing::FdStreamBuf buf(write_fd);
+      std::ostream os(&buf);
+      os << "STATUS\n" << std::flush;
+      std::this_thread::sleep_for(kPause);
+      os << "STATUS\nQUIT\n" << std::flush;
+    }
+    ::close(write_fd);
+  });
+  obs::Tracer tracer;
+  ServerConfig config;
+  config.tracer = &tracer;
+  AdmissionService service(test_config());
+  std::ostringstream out;
+  {
+    hedra::testing::FdStreamBuf buf(fds[0]);
+    std::istream in(&buf);
+    (void)run_server(in, out, service, config);
+  }
+  client.join();
+  ::close(fds[0]);
+
+  const auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), 3u);  // STATUS, STATUS after the pause, QUIT
+  const obs::RequestTrace& paused = *traces[1];
+  ASSERT_GE(paused.spans().size(), 2u);
+  const obs::Span& parse = paused.spans()[1];
+  ASSERT_EQ(parse.name, "parse");
+  const std::int64_t limit_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kPause).count() /
+      2;
+  EXPECT_LT(parse.end_ns - parse.start_ns, limit_ns);
+  EXPECT_EQ(paused.spans()[0].start_ns, parse.start_ns);
 }
 
 TEST(ServerTest, TraceAllocationFaultDropsTheTraceNotTheRequest) {

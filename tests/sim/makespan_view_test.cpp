@@ -2,7 +2,7 @@
 /// The makespan-only recorder path over arena views must make the exact
 /// scheduling decisions of the trace-recording simulator: for every policy,
 /// core count and unit vector, simulated_makespan(view) with validation off
-/// equals simulate(FlatDag).makespan() on the same graph.
+/// equals simulate(Dag).makespan() on the same graph.
 
 #include <gtest/gtest.h>
 
@@ -41,10 +41,9 @@ TEST(MakespanViewTest, ViewMakespanEqualsTracedMakespan) {
     const FlatDagBatch batch =
         exp::generate_flat_batch(small_config(51u + devices, devices));
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      // The reference simulator runs over a snapshot of the materialised
-      // Dag — the legacy pipeline end to end.
+      // The reference simulator runs over the materialised Dag — the
+      // legacy pipeline end to end.
       const graph::Dag dag = batch.materialize(i);
-      const graph::FlatDag flat(dag);
       for (const Policy policy : all_policies()) {
         for (const int cores : {1, 2, 4}) {
           SimConfig config;
@@ -52,7 +51,7 @@ TEST(MakespanViewTest, ViewMakespanEqualsTracedMakespan) {
           config.policy = policy;
           config.seed = 97;  // kRandom consumes the same stream either way
           config.validate = false;
-          const Time want = simulate(flat, config).makespan();
+          const Time want = simulate(dag, config).makespan();
           const Time got = simulated_makespan(batch.view(i), config);
           EXPECT_EQ(got, want)
               << "devices " << devices << " dag " << i << " policy "
@@ -68,12 +67,11 @@ TEST(MakespanViewTest, MultiUnitViewMakespanEqualsTracedMakespan) {
   const FlatDagBatch batch = exp::generate_flat_batch(config);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const graph::Dag dag = batch.materialize(i);
-    const graph::FlatDag flat(dag);
     SimConfig sim_config;
     sim_config.cores = 2;
     sim_config.device_units = {2, 3};
     sim_config.validate = false;
-    const Time want = simulate(flat, sim_config).makespan();
+    const Time want = simulate(dag, sim_config).makespan();
     EXPECT_EQ(simulated_makespan(batch.view(i), sim_config), want)
         << "dag " << i;
   }
