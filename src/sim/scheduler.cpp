@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
-#include <queue>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "graph/critical_path.h"
 #include "graph/flat_dag.h"
+#include "util/fault.h"
 
 namespace hedra::sim {
 
@@ -45,344 +48,403 @@ const char* to_string(Policy policy) noexcept {
 
 namespace {
 
-/// Unit counts per accelerator device: entry d−1 of `configured` if
-/// present, 1 otherwise (the paper's single-unit platform).
-std::vector<int> units_for(graph::DeviceId max_device,
-                           const std::vector<int>& configured) {
-  std::vector<int> units(max_device, 1);
-  for (std::size_t d = 0; d < units.size() && d < configured.size(); ++d) {
-    units[d] = configured[d];
-  }
-  return units;
-}
-
-/// One pending completion; the event heap pops the earliest finish (node id
-/// tie-break keeps the pop order fully specified, though retirement batches
-/// all events of the minimum finish time, so ties never change behaviour).
-struct Event {
-  Time finish;
-  NodeId node;
-  int unit;
+/// One node instance: node `node` of job `job` (its release index), a job
+/// of task `task`.
+struct JobNode {
+  std::uint32_t task = 0;
+  std::uint32_t job = 0;
+  NodeId node = 0;
 };
 
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.finish != b.finish) return a.finish > b.finish;
-    return a.node > b.node;
-  }
-};
-
-/// Recorders: what a simulation run keeps of its scheduling decisions.  The
-/// event loop is recorder-agnostic; golden-trace byte-identity is preserved
-/// because the recorder only OBSERVES decisions, never influences them.
-///
-/// Full trace — the validation/golden/tooling path.
-struct TraceRecorder {
-  static constexpr bool kRecordsTrace = true;
-  ScheduleTrace trace;
-
-  TraceRecorder(const Dag* dag, int cores, std::vector<int> device_units)
-      : trace(dag, cores, std::move(device_units)) {}
-
-  [[nodiscard]] int units_of(graph::DeviceId device) const noexcept {
-    return trace.units_of(device);
-  }
-  void reserve(std::size_t intervals) { trace.reserve(intervals); }
-  void add(const Interval& interval) { trace.add(interval); }
-};
-
-/// Makespan only — the Monte-Carlo hot path: no per-interval storage, no
-/// ScheduleTrace allocation, just a running max over finish times.
-struct MakespanRecorder {
-  static constexpr bool kRecordsTrace = false;
-  std::vector<int> units;  ///< index d−1 = units of device d
-  Time makespan = 0;
-
-  explicit MakespanRecorder(std::vector<int> device_units)
-      : units(std::move(device_units)) {}
-
-  [[nodiscard]] int units_of(graph::DeviceId device) const noexcept {
-    const std::size_t index = static_cast<std::size_t>(device) - 1;
-    return index < units.size() ? units[index] : 1;
-  }
-  void reserve(std::size_t) noexcept {}
-  void add(const Interval& interval) noexcept {
-    makespan = std::max(makespan, interval.finish);
-  }
-};
-
-/// Critical-path-first key: longest down(v) wins, smallest id tie-breaks —
-/// the same strict total order the historical linear scan minimised over,
-/// so heap and scan always pick the same node.
-struct CpEntry {
-  Time down;
-  NodeId node;
-};
-
-struct CpAfter {
-  bool operator()(const CpEntry& a, const CpEntry& b) const noexcept {
-    if (a.down != b.down) return a.down < b.down;
-    return a.node > b.node;
-  }
-};
-
-/// Host ready set, indexed by the policy so every pick is O(1)/O(log n):
-///  - breadth-first: nodes become ready in FIFO-ticket order, so a deque's
-///    front IS the minimum ticket (the historical scan's pick);
-///  - depth-first: the back is the maximum ticket;
-///  - critical-path / index order: binary heaps over the strict total order
-///    the historical scan minimised;
-///  - random: the historical vector + swap-remove, byte-compatible RNG
-///    consumption (one index draw per pick over the identical layout).
-class ReadyHost {
+/// The host ready set of one task, indexed by the policy so every pick is
+/// O(1) or O(log n).  Entries pack (job, node) into one integer whose order
+/// is (job, node) order:
+///  - breadth-first: a FIFO read from a head index;
+///  - depth-first: a LIFO;
+///  - index order: a min-heap;
+///  - critical-path-first: a heap whose top has the longest down(v), then
+///    the smallest (job, node);
+///  - random: swap-remove at one seeded index draw per pick.
+class ReadySet {
  public:
-  ReadyHost(Policy policy, const std::vector<Time>* down)
-      : policy_(policy), down_(down) {}
+  /// Empties the set for a run; `down` is read under kCriticalPathFirst.
+  void reset(Policy policy, std::span<const Time> down) {
+    policy_ = policy;
+    down_ = down;
+    items_.clear();
+    head_ = 0;
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
 
-  void push(NodeId v) {
-    ++count_;
-    switch (policy_) {
-      case Policy::kBreadthFirst:
-        fifo_.push_back(v);
-        return;
-      case Policy::kDepthFirst:
-        lifo_.push_back(v);
-        return;
-      case Policy::kCriticalPathFirst:
-        cp_.push(CpEntry{(*down_)[v], v});
-        return;
-      case Policy::kIndexOrder:
-        by_index_.push(v);
-        return;
-      case Policy::kRandom:
-        pool_.push_back(v);
-        return;
+  void push(std::uint32_t job, NodeId node) {
+    items_.push_back(std::uint64_t{job} << 32 | node);
+    if (policy_ == Policy::kIndexOrder) {
+      std::push_heap(items_.begin(), items_.end(), std::greater<>{});
+    } else if (policy_ == Policy::kCriticalPathFirst) {
+      std::push_heap(items_.begin(), items_.end(), ByDown{down_});
     }
   }
 
-  [[nodiscard]] NodeId pop(Rng& rng) {
-    HEDRA_ASSERT(count_ > 0);
-    --count_;
+  /// Removes and returns the (job, node) the policy picks next.
+  [[nodiscard]] std::pair<std::uint32_t, NodeId> pop(Rng& rng) {
     switch (policy_) {
       case Policy::kBreadthFirst: {
-        const NodeId v = fifo_.front();
-        fifo_.pop_front();
-        return v;
-      }
-      case Policy::kDepthFirst: {
-        const NodeId v = lifo_.back();
-        lifo_.pop_back();
-        return v;
-      }
-      case Policy::kCriticalPathFirst: {
-        const NodeId v = cp_.top().node;
-        cp_.pop();
-        return v;
-      }
-      case Policy::kIndexOrder: {
-        const NodeId v = by_index_.top();
-        by_index_.pop();
-        return v;
-      }
-      case Policy::kRandom: {
-        const std::size_t pick = rng.index(pool_.size());
-        const NodeId v = pool_[pick];
-        pool_[pick] = pool_.back();
-        pool_.pop_back();
-        return v;
-      }
-    }
-    throw InternalError("unreachable policy");
-  }
-
- private:
-  Policy policy_;
-  const std::vector<Time>* down_;  ///< kCriticalPathFirst only
-  std::size_t count_ = 0;
-  std::deque<NodeId> fifo_;
-  std::vector<NodeId> lifo_;
-  std::priority_queue<CpEntry, std::vector<CpEntry>, CpAfter> cp_;
-  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> by_index_;
-  std::vector<NodeId> pool_;
-};
-
-template <class Recorder>
-class Simulation {
- public:
-  /// `actual` gives per-node execution times; nullptr means "run at WCET".
-  Simulation(const graph::FlatView& flat, const SimConfig& config,
-             const std::vector<Time>* actual, Recorder recorder)
-      : flat_(flat),
-        config_(config),
-        actual_(actual),
-        rec_(std::move(recorder)),
-        rng_(config.seed),
-        down_(config.policy == Policy::kCriticalPathFirst
-                  ? graph::down_lengths(flat)
-                  : std::vector<Time>{}),
-        ready_host_(config.policy, &down_),
-        ready_dev_(flat.max_device()),
-        dev_free_(flat.max_device()) {
-    HEDRA_REQUIRE(config_.cores >= 1, "simulation requires at least one core");
-    for (std::size_t d = 0; d < dev_free_.size(); ++d) {
-      // Smallest free unit index on top, matching the host free-core heap.
-      for (int u = rec_.units_of(static_cast<graph::DeviceId>(d + 1)) - 1;
-           u >= 0; --u) {
-        dev_free_[d].push(u);
-      }
-    }
-    if (actual_ != nullptr) {
-      HEDRA_REQUIRE(actual_->size() == flat_.num_nodes(),
-                    "actual-times vector size mismatch");
-      for (NodeId v = 0; v < flat_.num_nodes(); ++v) {
-        HEDRA_REQUIRE((*actual_)[v] >= 0 && (*actual_)[v] <= flat_.wcet(v),
-                      "actual execution time outside [0, WCET]");
-      }
-    }
-  }
-
-  Recorder run() {
-    const std::size_t n = flat_.num_nodes();
-    rec_.reserve(n);
-    remaining_preds_.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-      remaining_preds_[v] = static_cast<std::uint32_t>(flat_.in_degree(v));
-    }
-    for (int core = config_.cores - 1; core >= 0; --core) {
-      free_cores_.push(core);
-    }
-
-    // Sources are ready at t = 0.  `queue_` is the FIFO of newly ready
-    // nodes, consumed from `queue_head_` (a plain vector + head index, so
-    // the per-event churn allocates nothing in steady state).
-    queue_.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (remaining_preds_[v] == 0) queue_.push_back(v);
-    }
-    absorb_ready(/*time=*/0);
-
-    Time now = 0;
-    std::vector<NodeId> finished;
-    while (completed_ < n) {
-      dispatch(now);
-      HEDRA_REQUIRE(!events_.empty(),
-                    "simulation stalled: cyclic or disconnected graph");
-      // Advance to the next completion and retire everything finishing then.
-      const Time next = events_.top().finish;
-      finished.clear();
-      while (!events_.empty() && events_.top().finish == next) {
-        const Event e = events_.top();
-        events_.pop();
-        if (e.unit >= 0) {
-          free_cores_.push(e.unit);
-        } else {
-          const auto [device, index] = decode_accelerator_unit(e.unit);
-          dev_free_[device - 1].push(index);
+        const std::uint64_t head = items_[head_++];
+        if (head_ == items_.size()) {
+          items_.clear();
+          head_ = 0;
         }
-        finished.push_back(e.node);
+        return split(head);
       }
-      std::sort(finished.begin(), finished.end());
-      queue_.clear();
-      queue_head_ = 0;
-      for (const NodeId v : finished) retire(v);
-      absorb_ready(next);
-      now = next;
+      case Policy::kDepthFirst:
+        break;
+      case Policy::kCriticalPathFirst:
+        std::pop_heap(items_.begin(), items_.end(), ByDown{down_});
+        break;
+      case Policy::kIndexOrder:
+        std::pop_heap(items_.begin(), items_.end(), std::greater<>{});
+        break;
+      case Policy::kRandom:
+        std::swap(items_[rng.index(items_.size())], items_.back());
+        break;
     }
-
-    if constexpr (Recorder::kRecordsTrace) {
-      if (config_.validate) {
-        g_validation_runs.fetch_add(1, std::memory_order_relaxed);
-        std::vector<Time> durations(n);
-        for (NodeId v = 0; v < n; ++v) durations[v] = duration(v);
-        const auto issues = rec_.trace.validate_with_durations(durations);
-        HEDRA_ASSERT(issues.empty());
-      }
-    }
-    return std::move(rec_);
+    const std::uint64_t picked = items_.back();
+    items_.pop_back();
+    return split(picked);
   }
 
  private:
-  /// How long node v actually executes in this run.
-  [[nodiscard]] Time duration(NodeId v) const {
-    return actual_ != nullptr ? (*actual_)[v] : flat_.wcet(v);
+  static std::pair<std::uint32_t, NodeId> split(std::uint64_t entry) {
+    return {static_cast<std::uint32_t>(entry >> 32),
+            static_cast<NodeId>(entry)};
   }
-  /// Marks v complete and appends successors that became ready to `queue_`.
-  void retire(NodeId v) {
-    ++completed_;
-    for (const NodeId w : flat_.successors(v)) {
-      if (--remaining_preds_[w] == 0) queue_.push_back(w);
+
+  /// Heap "less" for critical-path-first: `a` ranks below `b`.
+  struct ByDown {
+    std::span<const Time> down;
+    bool operator()(std::uint64_t a, std::uint64_t b) const noexcept {
+      const Time down_a = down[static_cast<NodeId>(a)];
+      const Time down_b = down[static_cast<NodeId>(b)];
+      if (down_a != down_b) return down_a < down_b;
+      return a > b;
     }
-  }
+  };
 
-  /// Files the queued newly ready nodes into the ready structures, FIFO.
-  /// Zero-WCET host-side nodes complete instantly (occupying no unit) and
-  /// cascade; zero-WCET nodes placed on an accelerator go through their
-  /// device's queue like any offload, so device serialisation applies (they
-  /// still execute for zero time once a unit frees up).
-  void absorb_ready(Time time) {
-    while (queue_head_ < queue_.size()) {
-      const NodeId v = queue_[queue_head_++];
-      const graph::DeviceId device = flat_.device(v);
-      if (device != graph::kHostDevice) {
-        ready_dev_[device - 1].push_back(v);
-      } else if (flat_.wcet(v) == 0) {
-        rec_.add(Interval{v, kInstantUnit, time, time});
-        retire(v);
-      } else {
-        ready_host_.push(v);
-      }
-    }
-  }
-
-  /// Work-conserving assignment of ready nodes to free units at `time`.
-  void dispatch(Time time) {
-    for (std::size_t d = 0; d < ready_dev_.size(); ++d) {
-      while (!dev_free_[d].empty() && !ready_dev_[d].empty()) {
-        const NodeId v = ready_dev_[d].front();  // FIFO per device
-        ready_dev_[d].pop_front();
-        const int unit = dev_free_[d].top();  // smallest free unit first
-        dev_free_[d].pop();
-        start(v, accelerator_unit(static_cast<graph::DeviceId>(d + 1), unit),
-              time);
-      }
-    }
-    while (!free_cores_.empty() && !ready_host_.empty()) {
-      const NodeId v = ready_host_.pop(rng_);
-      const int core = free_cores_.top();
-      free_cores_.pop();
-      start(v, core, time);
-    }
-  }
-
-  void start(NodeId v, int unit, Time time) {
-    const Time finish = time + duration(v);
-    rec_.add(Interval{v, unit, time, finish});
-    events_.push(Event{finish, v, unit});
-  }
-
-  graph::FlatView flat_;
-  SimConfig config_;
-  const std::vector<Time>* actual_;
-  Recorder rec_;
-  Rng rng_;
-  std::vector<Time> down_;  ///< down(v), kCriticalPathFirst only
-
-  std::vector<std::uint32_t> remaining_preds_;
-  std::vector<NodeId> queue_;   ///< newly ready FIFO (consumed from head)
-  std::size_t queue_head_ = 0;
-  ReadyHost ready_host_;
-  /// One FIFO ready queue and one free-unit min-heap per accelerator
-  /// device; index d−1 holds device d (a single-unit device reproduces the
-  /// historical queue + busy flag exactly).
-  std::vector<std::deque<NodeId>> ready_dev_;
-  std::vector<std::priority_queue<int, std::vector<int>, std::greater<>>>
-      dev_free_;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
-  std::priority_queue<int, std::vector<int>, std::greater<>> free_cores_;
-  std::size_t completed_ = 0;
+  Policy policy_ = Policy::kBreadthFirst;
+  std::span<const Time> down_;
+  std::vector<std::uint64_t> items_;
+  std::size_t head_ = 0;  ///< FIFO read position (kBreadthFirst only)
 };
+
+/// Node `node` of job `job` finishing at `finish`.  Job ids run task by
+/// task, so the heap's (finish, job, node) order is the (finish, task, job,
+/// node) retirement order.  Kept to 16 bytes (the unit a node holds lives
+/// in its NodeState): the heap moves these on every start and retirement.
+struct Completion {
+  Time finish = 0;
+  std::uint32_t job = 0;
+  NodeId node = 0;
+
+  friend bool operator>(const Completion& a, const Completion& b) noexcept {
+    if (a.finish != b.finish) return a.finish > b.finish;
+    if (a.job != b.job) return a.job > b.job;
+    return a.node > b.node;
+  }
+};
+
+/// Per job node: predecessors still to finish, then the unit it runs on.
+struct NodeState {
+  std::uint32_t pending = 0;
+  int unit = 0;
+};
+
+/// Per job: where its node states start in the run's array, and how many
+/// of its nodes are still to finish.
+struct JobState {
+  std::size_t first_node = 0;
+  std::size_t unfinished = 0;
+};
+
+/// Per task: its graph, its ready set and its pool of free cores.
+struct TaskState {
+  graph::FlatView graph;
+  std::vector<Time> down;       ///< down(v), kCriticalPathFirst only
+  ReadySet ready;
+  std::vector<int> free_cores;  ///< min-heap
+};
+
+/// Per accelerator device: its FIFO (read from `head`) and its free units.
+struct DeviceState {
+  std::vector<JobNode> queue;
+  std::size_t head = 0;
+  std::vector<int> free_units;  ///< min-heap
+};
+
+/// Min-heap helpers over a vector kept with std::greater.
+template <class T>
+T pop_min(std::vector<T>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+  const T top = heap.back();
+  heap.pop_back();
+  return top;
+}
+
+template <class T>
+void push_min(std::vector<T>& heap, const T& value) {
+  heap.push_back(value);
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+}
+
+/// A pool of `size` free unit indices as a min-heap (ascending is a valid
+/// one), so the smallest free index is always taken first.
+void fill_pool(std::vector<int>& pool, int size) {
+  pool.resize(static_cast<std::size_t>(size));
+  std::iota(pool.begin(), pool.end(), 0);
+}
+
+/// The event loop and its working state.  One instance lives per thread;
+/// every run rebuilds the state with assign/clear, so only capacity carries
+/// over — and a throw mid-run leaves nothing the next run reads.
+class EventLoop {
+ public:
+  std::size_t run(const JobSet& jobs, std::span<Time> finish) {
+    jobs_ = jobs;
+    finish_ = finish;
+    rng_ = Rng(jobs.seed);
+    setup();
+    std::size_t next_arrival = 0;
+    std::uint64_t rounds = 0;
+    while (remaining_ > 0) {
+      HEDRA_FAULT("sim.event");
+      if (!jobs_.deadline.unlimited() && ++rounds % 256 == 0 &&
+          jobs_.deadline.expired()) {
+        break;
+      }
+      const bool arrivals_left = next_arrival < arrivals_.size();
+      HEDRA_REQUIRE(!events_.empty() || arrivals_left,
+                    "simulation stalled (hedra bug)");
+      Time now = std::numeric_limits<Time>::max();
+      if (!events_.empty()) now = events_.front().finish;
+      if (arrivals_left) now = std::min(now, arrivals_[next_arrival].first);
+
+      instant_.clear();
+      while (!events_.empty() && events_.front().finish == now) {
+        const Completion done = pop_min(events_);
+        const JobNode x{jobs_.releases[done.job].task, done.job, done.node};
+        TaskState& task = tasks_[x.task];
+        const graph::DeviceId device = task.graph.device(x.node);
+        push_min(device == graph::kHostDevice
+                     ? task.free_cores
+                     : devices_[device - 1u].free_units,
+                 state(x).unit);
+        retire(x, now);
+      }
+      while (next_arrival < arrivals_.size() &&
+             arrivals_[next_arrival].first == now) {
+        release(arrivals_[next_arrival++].second);
+      }
+      retire_instant(now);
+      dispatch(now);
+    }
+    return remaining_;
+  }
+
+ private:
+  /// Checks the input and resets the working state for this run.
+  void setup() {
+    const std::size_t num_tasks = jobs_.graphs.size();
+    HEDRA_REQUIRE(jobs_.cores.size() == num_tasks,
+                  "need one host pool per task");
+    HEDRA_REQUIRE(finish_.size() == jobs_.releases.size(),
+                  "need one finish slot per release");
+    HEDRA_REQUIRE(jobs_.trace == nullptr || num_tasks == 1,
+                  "a trace records a one-task run");
+    if (!jobs_.actual.empty()) {
+      HEDRA_REQUIRE(num_tasks == 1 &&
+                        jobs_.actual.size() == jobs_.graphs[0].num_nodes(),
+                    "actual-times vector size mismatch");
+      for (NodeId v = 0; v < jobs_.actual.size(); ++v) {
+        HEDRA_REQUIRE(
+            jobs_.actual[v] >= 0 && jobs_.actual[v] <= jobs_.graphs[0].wcet(v),
+            "actual execution time outside [0, WCET]");
+      }
+    }
+    graph::DeviceId num_devices = 0;
+    tasks_.resize(num_tasks);
+    for (std::size_t i = 0; i < num_tasks; ++i) {
+      TaskState& task = tasks_[i];
+      task.graph = jobs_.graphs[i];
+      HEDRA_REQUIRE(task.graph.num_nodes() > 0,
+                    "cannot simulate an empty graph");
+      HEDRA_REQUIRE(jobs_.cores[i] >= 1,
+                    "simulation requires at least one core");
+      num_devices = std::max(num_devices, task.graph.max_device());
+      task.down.clear();
+      if (jobs_.policy == Policy::kCriticalPathFirst) {
+        task.down = graph::down_lengths(task.graph);
+      }
+      task.ready.reset(jobs_.policy, task.down);
+      fill_pool(task.free_cores, jobs_.cores[i]);
+    }
+    devices_.resize(num_devices);
+    for (std::size_t d = 0; d < num_devices; ++d) {
+      const int units =
+          d < jobs_.device_units.size() ? jobs_.device_units[d] : 1;
+      HEDRA_REQUIRE(units >= 1, "every accelerator device needs >= 1 unit");
+      devices_[d].queue.clear();
+      devices_[d].head = 0;
+      fill_pool(devices_[d].free_units, units);
+    }
+
+    std::size_t slots = 0;
+    job_states_.resize(jobs_.releases.size());
+    arrivals_.resize(jobs_.releases.size());
+    for (std::uint32_t k = 0; k < jobs_.releases.size(); ++k) {
+      const Release& release = jobs_.releases[k];
+      HEDRA_REQUIRE(release.task < num_tasks, "release of an unknown task");
+      HEDRA_REQUIRE(k == 0 || std::tie(jobs_.releases[k - 1].task,
+                                       jobs_.releases[k - 1].time) <=
+                                  std::tie(release.task, release.time),
+                    "releases must be listed task by task in time order");
+      job_states_[k].first_node = slots;
+      slots += tasks_[release.task].graph.num_nodes();
+      arrivals_[k] = {release.time, k};
+    }
+    // Same-instant releases arrive in job order, i.e. (task, job) order.
+    std::sort(arrivals_.begin(), arrivals_.end());
+    nodes_.resize(slots);
+    events_.clear();
+    std::fill(finish_.begin(), finish_.end(), kUnfinished);
+    remaining_ = jobs_.releases.size();
+  }
+
+  /// Job k arrives: its pending counts start at the in-degrees and its
+  /// roots are filed in ascending id.
+  void release(std::uint32_t k) {
+    const std::uint32_t task = jobs_.releases[k].task;
+    const graph::FlatView& graph = tasks_[task].graph;
+    NodeState* nodes = nodes_.data() + job_states_[k].first_node;
+    job_states_[k].unfinished = graph.num_nodes();
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      nodes[v].pending = static_cast<std::uint32_t>(graph.in_degree(v));
+      if (nodes[v].pending == 0) file(JobNode{task, k, v});
+    }
+  }
+
+  NodeState& state(const JobNode& x) {
+    return nodes_[job_states_[x.job].first_node + x.node];
+  }
+
+  /// Marks `x` complete at `now` and files the successors it made ready.
+  void retire(const JobNode& x, Time now) {
+    JobState& job = job_states_[x.job];
+    if (--job.unfinished == 0) {
+      finish_[x.job] = now;
+      --remaining_;
+    }
+    NodeState* nodes = nodes_.data() + job.first_node;
+    for (const NodeId w : tasks_[x.task].graph.successors(x.node)) {
+      if (--nodes[w].pending == 0) file(JobNode{x.task, x.job, w});
+    }
+  }
+
+  /// Files a newly ready node: a device node joins its device's FIFO, a
+  /// host node its task's ready set, and a zero-WCET host node the queue
+  /// of nodes that retire this instant.
+  void file(const JobNode& x) {
+    TaskState& task = tasks_[x.task];
+    const graph::DeviceId device = task.graph.device(x.node);
+    if (device != graph::kHostDevice) {
+      devices_[device - 1u].queue.push_back(x);
+    } else if (task.graph.wcet(x.node) == 0) {
+      instant_.push_back(x);
+    } else {
+      task.ready.push(x.job, x.node);
+    }
+  }
+
+  /// Retires the zero-WCET host nodes in the order they became ready;
+  /// each files its own successors, which may queue more.
+  void retire_instant(Time now) {
+    for (std::size_t i = 0; i < instant_.size(); ++i) {
+      const JobNode x = instant_[i];  // a copy: retire() may grow instant_
+      if (jobs_.trace != nullptr) {
+        jobs_.trace->add(Interval{x.node, kInstantUnit, now, now});
+      }
+      retire(x, now);
+    }
+  }
+
+  /// Work-conserving assignment at `now`: every device's free units take
+  /// its FIFO head, then every task's free cores take its policy's pick.
+  void dispatch(Time now) {
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+      DeviceState& device = devices_[d];
+      while (!device.free_units.empty() && device.head < device.queue.size()) {
+        start(device.queue[device.head++], static_cast<graph::DeviceId>(d + 1),
+              pop_min(device.free_units), now);
+      }
+      if (device.head == device.queue.size()) {
+        device.queue.clear();
+        device.head = 0;
+      }
+    }
+    for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
+      TaskState& task = tasks_[i];
+      while (!task.free_cores.empty() && !task.ready.empty()) {
+        const auto [job, node] = task.ready.pop(rng_);
+        start(JobNode{i, job, node}, graph::kHostDevice,
+              pop_min(task.free_cores), now);
+      }
+    }
+  }
+
+  void start(const JobNode& x, graph::DeviceId device, int unit, Time now) {
+    const Time finish =
+        now + (jobs_.actual.empty() ? tasks_[x.task].graph.wcet(x.node)
+                                    : jobs_.actual[x.node]);
+    if (jobs_.trace != nullptr) {
+      jobs_.trace->add(Interval{
+          x.node,
+          device == graph::kHostDevice ? unit : accelerator_unit(device, unit),
+          now, finish});
+    }
+    state(x).unit = unit;
+    push_min(events_, Completion{finish, x.job, x.node});
+  }
+
+  JobSet jobs_;             ///< the current run's input (stale between runs)
+  std::span<Time> finish_;  ///< the current run's output (stale between runs)
+  Rng rng_;
+  std::size_t remaining_ = 0;  ///< jobs not yet finished
+  std::vector<TaskState> tasks_;
+  std::vector<DeviceState> devices_;            ///< index d−1: device d
+  std::vector<JobState> job_states_;            ///< per job
+  std::vector<NodeState> nodes_;                ///< per job node
+  std::vector<std::pair<Time, std::uint32_t>> arrivals_;  ///< (time, job)
+  std::vector<JobNode> instant_;  ///< zero-WCET host nodes retiring now
+  std::vector<Completion> events_;              ///< min-heap
+};
+
+/// One job of `view` released at 0 on one pool of config.cores cores;
+/// returns its finish time, the makespan.
+Time run_one(const graph::FlatView& view, const SimConfig& config,
+             std::span<const Time> actual, ScheduleTrace* trace) {
+  const Release release;
+  Time finish = 0;
+  (void)run_jobs({.graphs = {&view, 1},
+                  .cores = {&config.cores, 1},
+                  .device_units = config.device_units,
+                  .releases = {&release, 1},
+                  .policy = config.policy,
+                  .seed = config.seed,
+                  .deadline = util::Deadline::never(),
+                  .actual = actual,
+                  .trace = trace},
+                 {&finish, 1});
+  return finish;
+}
 
 /// A trace-recording run over `view`, validated against its source Dag.
 ScheduleTrace run_traced(const graph::FlatView& view, const SimConfig& config,
@@ -390,14 +452,28 @@ ScheduleTrace run_traced(const graph::FlatView& view, const SimConfig& config,
   HEDRA_REQUIRE(view.num_nodes() > 0, "cannot simulate an empty graph");
   HEDRA_REQUIRE(view.source() != nullptr,
                 "trace recording requires a Dag-backed view");
-  Simulation<TraceRecorder> sim(
-      view, config, actual,
-      TraceRecorder(view.source(), config.cores,
-                    units_for(view.max_device(), config.device_units)));
-  return std::move(sim.run().trace);
+  ScheduleTrace trace(view.source(), config.cores, config.device_units);
+  trace.reserve(view.num_nodes());
+  (void)run_one(view, config,
+                actual != nullptr ? std::span<const Time>(*actual)
+                                  : std::span<const Time>(),
+                &trace);
+  if (config.validate) {
+    g_validation_runs.fetch_add(1, std::memory_order_relaxed);
+    const auto violations = actual != nullptr
+                                ? trace.validate_with_durations(*actual)
+                                : trace.validate();
+    HEDRA_ASSERT(violations.empty());
+  }
+  return trace;
 }
 
 }  // namespace
+
+std::size_t run_jobs(const JobSet& jobs, std::span<Time> finish) {
+  thread_local EventLoop loop;
+  return loop.run(jobs, finish);
+}
 
 ScheduleTrace simulate(const graph::FlatView& view, const SimConfig& config) {
   return run_traced(view, config, nullptr);
@@ -409,13 +485,9 @@ ScheduleTrace simulate(const Dag& dag, const SimConfig& config) {
 }
 
 Time simulated_makespan(const graph::FlatView& view, const SimConfig& config) {
-  HEDRA_REQUIRE(view.num_nodes() > 0, "cannot simulate an empty graph");
   // Validation needs a full trace, so the flag takes the recording path.
   if (config.validate) return simulate(view, config).makespan();
-  Simulation<MakespanRecorder> sim(
-      view, config, nullptr,
-      MakespanRecorder(units_for(view.max_device(), config.device_units)));
-  return sim.run().makespan;
+  return run_one(view, config, {}, nullptr);
 }
 
 Time simulated_makespan(const Dag& dag, const SimConfig& config) {

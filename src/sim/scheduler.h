@@ -2,10 +2,13 @@
 
 /// \file scheduler.h
 /// Deterministic discrete-event simulation of a work-conserving scheduler on
-/// m identical host cores plus the accelerator devices the DAG names (§5.2
-/// simulates the paper's single accelerator; SimConfig::device_units
-/// provisions n_d execution units per device id in [1, dag.max_device()],
-/// one each by default).
+/// host cores plus accelerator devices — hedra's one simulator.  It runs
+/// jobs of one or more DAG tasks: each task's host nodes run on that task's
+/// own pool of cores, and each accelerator device d's nodes share one FIFO
+/// served by its n_d units.  The single-DAG entry points (simulate,
+/// simulated_makespan, simulate_with_times) run one job released at 0 on
+/// one pool of m cores; taskset::simulate_taskset runs periodic releases of
+/// a whole task set on per-task pools (run_jobs below).
 ///
 /// The paper's Figure 6 simulates "the work-conserving breadth-first
 /// scheduler implemented in GOMP": ready tasks enter a FIFO queue in the
@@ -15,32 +18,40 @@
 /// must respect the analytical bounds (a property test enforces this).
 ///
 /// Semantics:
-///  - host nodes execute non-preemptively on any free host core;
-///  - offloaded nodes execute on one of their own device's n_d units
-///    (SimConfig::device_units; default 1 per device, the paper's
-///    platform), FIFO per device if several are ready and smallest free
-///    unit index first — devices never steal each other's work;
+///  - host nodes execute non-preemptively on any free core of their task's
+///    pool, smallest free core index first;
+///  - offloaded nodes execute on one of their own device's n_d units, FIFO
+///    per device across every task's jobs and smallest free unit index
+///    first — devices never steal each other's work;
 ///  - zero-WCET host-side nodes (v_sync, dummies) complete instantly,
 ///    occupying no unit — they are pure synchronisation points.  Zero-WCET
 ///    nodes PLACED ON AN ACCELERATOR are real device work: they queue for a
-///    unit like any offload (historically they retired instantly, silently
-///    bypassing device serialisation — a regression test pins the fix);
+///    unit like any offload (a regression test pins this);
 ///  - the scheduler is work-conserving: a free unit never idles while a
 ///    compatible node is ready.
 ///
-/// Implementation (rewritten for the Monte-Carlo hot path): the simulation
-/// runs over a graph::FlatView CSR view, completions live in a binary
-/// min-heap keyed on finish time (the historical ready/running lists were
-/// rescanned linearly on every event), and the host ready set is held in a
-/// policy-indexed structure — FIFO deque, LIFO stack, or a priority heap —
-/// so every pick is O(log ready) instead of an O(ready) scan.  All of this
-/// is behaviour-preserving: traces are bit-identical to the historical
-/// simulator for every policy (pinned by the golden-trace regression suite).
+/// Ready order (what makes every run, and every golden trace, exact):
+///  - completions at the same instant retire in (task, job, node) order;
+///  - a node is filed into its device's FIFO or its task's ready set the
+///    moment it becomes ready: each retirement files its successors in CSR
+///    order, then each release at that instant files its roots in
+///    ascending id;
+///  - zero-WCET host nodes retire after that, in the order they became
+///    ready, filing their own successors the same way.  Together this is
+///    one FIFO of newly ready nodes in which a zero-WCET host node retires
+///    when the FIFO reaches it;
+///  - devices dispatch before host cores, in ascending device and task
+///    order, so trace intervals come out in that order.
+/// The ready set is policy-indexed (FIFO, LIFO, a heap, or the seeded
+/// random pick) so every pick is O(log ready), and the working state lives
+/// in per-thread scratch, so only its capacity carries over between runs.
 
 #include <cstdint>
+#include <span>
 
 #include "graph/flat_view.h"
 #include "sim/trace.h"
+#include "util/deadline.h"
 #include "util/rng.h"
 
 namespace hedra::sim {
@@ -128,5 +139,43 @@ struct SimConfig {
 [[nodiscard]] std::vector<Time> random_actual_times(const Dag& dag,
                                                     double scale_min,
                                                     Rng& rng);
+
+/// One job of a run_jobs call: an instance of task `task`'s graph whose
+/// roots become ready at `time`.
+struct Release {
+  Time time = 0;
+  std::uint32_t task = 0;
+};
+
+/// Everything run_jobs simulates.  Jobs are identified by their index in
+/// `releases`, which lists them task by task (ascending task, each task's
+/// jobs in release order), so job order is (task, job) order.
+struct JobSet {
+  std::span<const graph::FlatView> graphs;  ///< one non-empty graph per task
+  std::span<const int> cores;               ///< host pool per task, >= 1
+  /// Units n_d of device d at index d−1; devices beyond the span get one.
+  std::span<const int> device_units;
+  std::span<const Release> releases;
+  Policy policy = Policy::kBreadthFirst;
+  std::uint64_t seed = 1;  ///< used by Policy::kRandom only
+  /// Polled every 256 event rounds; on expiry the run stops at an event
+  /// boundary, so every finished job keeps its exact finish time.
+  util::Deadline deadline;
+  /// One-task runs only: per-node execution times (each in [0, WCET]);
+  /// empty runs every node at its WCET.
+  std::span<const Time> actual;
+  /// One-task runs only: when set, receives every interval in
+  /// scheduling-decision order.
+  ScheduleTrace* trace = nullptr;
+};
+
+/// finish[k] of a job the deadline cut before it completed.
+inline constexpr Time kUnfinished = -1;
+
+/// Runs the jobs of `jobs` on the shared event loop.  Writes job k's
+/// completion time into finish[k] (kUnfinished if the deadline cut it) and
+/// returns the number of unfinished jobs.  Throws hedra::Error on
+/// malformed input; fault site `sim.event` is crossed once per event round.
+[[nodiscard]] std::size_t run_jobs(const JobSet& jobs, std::span<Time> finish);
 
 }  // namespace hedra::sim

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file sim.h (taskset)
-/// Discrete-event simulation of a WHOLE sporadic task set on one shared
-/// platform — the taskset layer's counterpart of sim/scheduler.h, layered
-/// on the same ingredients (graph::FlatView CSR views, a binary min-heap
-/// of timed events) but with two new dimensions:
+/// Simulation of a WHOLE sporadic task set on one shared platform, run on
+/// sim/scheduler.h's event loop (sim::run_jobs) — the same scheduler, ready
+/// order and tie-breaks as the single-DAG figures.  This layer adds:
 ///
 ///  - RELEASES: every task τ_i releases a job at 0, T_i, 2·T_i, ... (the
 ///    synchronous periodic arrival pattern, the densest a sporadic task is
@@ -17,14 +16,11 @@
 ///    taskset/contention_rta.h bounds, so observed per-job response times
 ///    must stay below the admitted bounds (the fig12 sweep and the
 ///    randomized property tests count violations with exact rationals).
+///  - RECORDS: each job's release and finish, per-task worst responses.
 ///
-/// Semantics carried over from the single-DAG simulator: non-preemptive
-/// execution, zero-WCET host nodes retire instantly as pure
-/// synchronisation points, zero-WCET accelerator nodes queue for a unit
-/// like any offload, and every dispatch is work-conserving.  Determinism:
-/// all same-time ready events are ordered by (task, job, node id), so runs
-/// are bit-reproducible for every policy (kRandom draws from the seeded
-/// portable RNG).
+/// A one-task, one-job run equals sim::simulated_makespan of that DAG on
+/// the task's cores (a test pins this); runs are bit-reproducible for every
+/// policy (kRandom draws from the seeded portable RNG).
 
 #include <cstdint>
 #include <span>
@@ -40,10 +36,11 @@ struct TasksetSimConfig {
   sim::Policy policy = sim::Policy::kBreadthFirst;
   std::uint64_t seed = 1;  ///< used by Policy::kRandom only
   int jobs_per_task = 3;   ///< releases simulated per task (>= 1)
-  /// Wall-clock cut for the event loop (default: never).  On expiry the
-  /// simulation stops at an event boundary; finished jobs keep their exact
-  /// records, unfinished ones stay marked and the result reports
-  /// Outcome::kBudgetExhausted — never a fabricated response time.
+  /// Wall-clock cut for the event loop (default: never), polled every 256
+  /// event rounds.  On expiry the simulation stops at an event boundary;
+  /// finished jobs keep their exact records, unfinished ones stay marked
+  /// and the result reports Outcome::kBudgetExhausted — never a fabricated
+  /// response time.
   util::Deadline deadline;
 };
 

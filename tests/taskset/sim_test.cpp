@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
+#include "gen/multi_device.h"
+#include "graph/flat_dag.h"
 #include "taskset/contention_rta.h"
 #include "taskset/gen.h"
 #include "util/error.h"
+#include "util/fault.h"
 
 namespace hedra::taskset {
 namespace {
@@ -128,6 +134,192 @@ TEST(TasksetSimTest, InvalidPartitionsThrow) {
   EXPECT_THROW(simulate_taskset(set, std::vector<int>{3}, config), Error);
   config.jobs_per_task = 0;
   EXPECT_THROW(simulate_taskset(set, std::vector<int>{1}, config), Error);
+}
+
+/// Checks two runs produced the same records, job by job.
+void expect_same_run(const TasksetSimResult& a, const TasksetSimResult& b) {
+  ASSERT_EQ(a.tasks.size(), b.tasks.size());
+  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+    ASSERT_EQ(a.tasks[i].jobs.size(), b.tasks[i].jobs.size());
+    for (std::size_t j = 0; j < a.tasks[i].jobs.size(); ++j) {
+      const JobRecord& x = a.tasks[i].jobs[j];
+      const JobRecord& y = b.tasks[i].jobs[j];
+      EXPECT_EQ(x.release, y.release) << "task " << i << " job " << j;
+      EXPECT_EQ(x.finish, y.finish) << "task " << i << " job " << j;
+      EXPECT_EQ(x.finished, y.finished) << "task " << i << " job " << j;
+    }
+    EXPECT_EQ(a.tasks[i].worst_response, b.tasks[i].worst_response);
+  }
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.jobs_unfinished, b.jobs_unfinished);
+}
+
+/// A platform of `cores` cores and `devices` classes of `units` units each.
+Platform platform_of(int cores, int devices, int units) {
+  std::string spec = std::to_string(cores) + ":";
+  for (int d = 0; d < devices; ++d) {
+    spec += (d == 0 ? "" : ",") + std::string(1, static_cast<char>('a' + d)) +
+            "*" + std::to_string(units);
+  }
+  return Platform::parse(spec);
+}
+
+TEST(TasksetSimTest, OneJobMatchesTheSingleDagSimulator) {
+  // Nodes 3 and 4 become ready on the single-unit device at t = 6, retired
+  // in that instant as successors of 2 and 1.  The shared ready order
+  // queues 4 first (its predecessor 1 retires first), so 3 and then the
+  // 20-tick node 5 wait for 4's 10 ticks: 6 + 10 + 1 + 20 = 37.  Sorting
+  // the instant's ready nodes by id instead would give 27.
+  graph::Dag dag;
+  const auto n0 = dag.add_node(1);
+  const auto n1 = dag.add_node(5);
+  const auto n2 = dag.add_node(5);
+  const auto n3 = dag.add_node_on(1, 1);
+  const auto n4 = dag.add_node_on(10, 1);
+  const auto n5 = dag.add_node(20);
+  const auto n6 = dag.add_node(0);
+  dag.add_edge(n0, n1);
+  dag.add_edge(n0, n2);
+  dag.add_edge(n1, n4);
+  dag.add_edge(n2, n3);
+  dag.add_edge(n3, n5);
+  dag.add_edge(n4, n6);
+  dag.add_edge(n5, n6);
+  sim::SimConfig sim_config;
+  sim_config.cores = 2;
+  EXPECT_EQ(sim::simulated_makespan(dag, sim_config), 37);
+  TaskSet set(Platform::parse("2:gpu"));
+  set.add(DagTask(dag, 1000, 1000, "tau"));
+  TasksetSimConfig config;
+  config.jobs_per_task = 1;
+  EXPECT_EQ(simulate_taskset(set, std::vector<int>{2}, config).makespan, 37);
+
+  // Fig10-shaped DAGs: every policy, m, K and n_d give one makespan on
+  // both entry points.
+  gen::HierarchicalParams params =
+      gen::HierarchicalParams::large_tasks_100_250();
+  const double ratios[] = {0.05, 0.10, 0.20, 0.30, 0.40};
+  Rng rng(1808);
+  int runs = 0;
+  for (const int devices : {1, 2, 3}) {
+    params.num_devices = devices;
+    for (int i = 0; i < 40; ++i) {
+      const graph::Dag generated =
+          gen::generate_multi_device(params, ratios[i % 5], rng);
+      const graph::FlatDag flat(generated);
+      for (const int units : {1, 2}) {
+        for (const int cores : {2, 4, 8}) {
+          TaskSet one(platform_of(cores, devices, units));
+          one.add(DagTask(generated, 100000, 100000, "tau"));
+          for (const auto policy : sim::all_policies()) {
+            sim::SimConfig single;
+            single.cores = cores;
+            single.policy = policy;
+            single.seed = 7;
+            single.device_units.assign(static_cast<std::size_t>(devices),
+                                       units);
+            single.validate = false;
+            TasksetSimConfig multi;
+            multi.policy = policy;
+            multi.seed = 7;
+            multi.jobs_per_task = 1;
+            EXPECT_EQ(simulate_taskset(one, std::vector<int>{cores}, multi)
+                          .makespan,
+                      sim::simulated_makespan(flat.view(), single))
+                << "K=" << devices << " n_d=" << units << " m=" << cores
+                << " policy=" << sim::to_string(policy) << " dag " << i;
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 3600);
+}
+
+/// Three tasks, ten jobs each: several hundred event rounds.
+TaskSet busy_set() {
+  TaskSetGenConfig gen_config;
+  gen_config.num_tasks = 3;
+  gen_config.total_utilization = 1.2;
+  gen_config.dag_params.max_depth = 3;
+  gen_config.dag_params.n_par = 4;
+  gen_config.dag_params.min_nodes = 10;
+  gen_config.dag_params.max_nodes = 40;
+  gen_config.dag_params.num_devices = 2;
+  gen_config.coff_ratio = 0.25;
+  gen_config.cores = 6;
+  Rng rng(17);
+  return generate_task_set(gen_config, rng);
+}
+
+TEST(TasksetSimTest, ExpiredDeadlineCutsTheRunAtAnEventBoundary) {
+  const TaskSet set = busy_set();
+  const std::vector<int> cores{2, 2, 2};
+  TasksetSimConfig config;
+  config.jobs_per_task = 10;
+  // The run needs more rounds than the deadline's poll stride (256).
+  fault::clear_registry();
+  fault::configure("*=0");  // counts hits, never fires
+  const TasksetSimResult full = simulate_taskset(set, cores, config);
+  const std::uint64_t rounds = fault::hits("sim.event");
+  fault::clear_registry();
+  ASSERT_GT(rounds, 256u);
+  ASSERT_EQ(full.outcome, util::Outcome::kComplete);
+
+  config.deadline = util::Deadline::after(std::chrono::nanoseconds(0));
+  const TasksetSimResult cut = simulate_taskset(set, cores, config);
+  EXPECT_EQ(cut.outcome, util::Outcome::kBudgetExhausted);
+  EXPECT_GT(cut.jobs_unfinished, 0u);
+  std::size_t finished = 0;
+  std::size_t unfinished = 0;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < cut.tasks[i].jobs.size(); ++j) {
+      const JobRecord& job = cut.tasks[i].jobs[j];
+      if (!job.finished) {
+        ++unfinished;
+        continue;
+      }
+      ++finished;
+      const JobRecord& exact = full.tasks[i].jobs[j];
+      EXPECT_EQ(job.release, exact.release) << "task " << i << " job " << j;
+      EXPECT_EQ(job.finish, exact.finish) << "task " << i << " job " << j;
+    }
+  }
+  EXPECT_GT(finished, 0u);
+  EXPECT_EQ(unfinished, cut.jobs_unfinished);
+}
+
+TEST(TasksetSimTest, FaultMidRunLeavesTheThreadScratchReusable) {
+  const TaskSet set = busy_set();
+  const std::vector<int> cores{2, 2, 2};
+  TasksetSimConfig config;
+  config.policy = sim::Policy::kCriticalPathFirst;
+  config.jobs_per_task = 4;
+  const graph::FlatDag flat(set[0].dag());
+  sim::SimConfig sim_config;
+  sim_config.cores = 3;
+  sim_config.policy = sim::Policy::kRandom;
+  sim_config.device_units = {2, 1};
+  sim_config.validate = false;
+  const TasksetSimResult before = simulate_taskset(set, cores, config);
+  const graph::Time makespan_before =
+      sim::simulated_makespan(flat.view(), sim_config);
+
+  fault::Trigger third;
+  third.nth = 3;
+  fault::clear_registry();
+  fault::arm("sim.event", third);
+  EXPECT_THROW((void)simulate_taskset(set, cores, config), fault::Injected);
+  fault::arm("sim.event", third);  // re-arming restarts the hit count
+  EXPECT_THROW((void)sim::simulated_makespan(flat.view(), sim_config),
+               fault::Injected);
+  fault::reset();
+  fault::clear_registry();
+
+  expect_same_run(simulate_taskset(set, cores, config), before);
+  EXPECT_EQ(sim::simulated_makespan(flat.view(), sim_config), makespan_before);
 }
 
 class TasksetDominance : public ::testing::TestWithParam<std::uint64_t> {};
