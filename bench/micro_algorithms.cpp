@@ -13,8 +13,8 @@
 #include "dense_dag.h"
 #include "exact/bnb.h"
 #include "exp/experiment.h"
+#include "gen/flat_gen.h"
 #include "gen/hierarchical.h"
-#include "gen/offload.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "graph/flat_dag.h"
@@ -34,10 +34,9 @@ Dag make_instance(int min_nodes, int max_nodes, std::uint64_t seed,
   params.n_par = 8;
   params.min_nodes = min_nodes;
   params.max_nodes = max_nodes;
-  Dag dag = hedra::gen::generate_hierarchical(params, rng);
-  (void)hedra::gen::select_offload_node(dag, rng);
-  (void)hedra::gen::set_offload_ratio(dag, ratio);
-  return dag;
+  hedra::graph::FlatDagBatch batch;
+  hedra::gen::generate_offload_flat(params, ratio, rng, batch);
+  return batch.materialize(0);
 }
 
 void BM_GenerateHierarchical(benchmark::State& state) {
@@ -190,8 +189,8 @@ void BM_TransitiveReduction(benchmark::State& state) {
 BENCHMARK(BM_TransitiveReduction)->Arg(60)->Arg(150);
 
 // The SoA arena pipeline (PR 7): whole-batch generation into one arena vs
-// the legacy vector<Dag> path on the identical RNG stream, and the batched
-// analysis kernels over the arena's flat arrays.
+// the same batch materialised as a vector<Dag> (exp::generate_batch), and
+// the batched analysis kernels over the arena's flat arrays.
 hedra::exp::BatchConfig arena_batch_config(int count) {
   hedra::exp::BatchConfig config;
   config.params = hedra::gen::HierarchicalParams::large_tasks_100_250();

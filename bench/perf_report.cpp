@@ -350,10 +350,11 @@ int main(int argc, char** argv) {
              1000.0 * ms / static_cast<double>(batch.size()));
     }
 
-    // -- SoA arena pipeline (PR 7): legacy per-Dag batch generation vs the
-    //    arena-writing generator on the identical RNG stream, then the
-    //    whole-batch vectorized K-device analysis over the arena (the
-    //    analyze_platform_batch entry the sweeps consume).
+    // -- SoA arena pipeline (PR 7): batch generation into owning Dags
+    //    (exp::generate_batch materialises every DAG of the arena batch;
+    //    the kernel keeps its historical "legacy" name) vs the arena
+    //    itself, then the whole-batch vectorized K-device analysis over the
+    //    arena (the analyze_platform_batch entry the sweeps consume).
     {
       hedra::exp::BatchConfig config;
       config.params = hedra::gen::HierarchicalParams::large_tasks_100_250();

@@ -4,8 +4,8 @@
 /// Figure 10 (extension; not in the paper): the multi-device scenario sweep
 /// the Platform model unlocks.  For K ∈ devices accelerator classes and a
 /// grid of total offloaded ratios C_off/vol, random multi-device DAGs are
-/// generated (gen/multi_device.h, offloaded volume split evenly across
-/// devices), the generalised K-device chain bound R_plat
+/// generated (gen::generate_multi_device_flat, offloaded volume split evenly
+/// across devices), the generalised K-device chain bound R_plat
 /// (analysis/platform_rta.h) is evaluated per core count m, and every
 /// work-conserving ready-queue policy of the simulator is run against it.
 ///

@@ -39,7 +39,6 @@
 
 #include "analysis/analysis_cache.h"
 #include "exp/experiment.h"
-#include "util/deadline.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
@@ -79,23 +78,6 @@ class Runner {
 
   [[nodiscard]] int jobs() const noexcept { return pool_.workers(); }
 
-  /// Deadline checked between grid points (never inside one: a point's
-  /// fan-out runs to completion so the emitted rows are whole cells).  On
-  /// expiry the sweep returns the rows finished so far and last_outcome()
-  /// reports kBudgetExhausted — callers distinguish a truncated grid from a
-  /// completed one instead of silently consuming fewer rows.
-  void set_deadline(util::Deadline deadline) noexcept { deadline_ = deadline; }
-
-  /// Outcome of the most recent sweep*/generate call on this runner.
-  [[nodiscard]] util::Outcome last_outcome() const noexcept {
-    return last_outcome_;
-  }
-
-  /// Batch generation fanned out over the pool; bit-identical to
-  /// generate_batch (replication RNGs are forked serially, generation runs
-  /// per-slot).
-  [[nodiscard]] std::vector<graph::Dag> generate(const BatchConfig& config);
-
   /// The generic core of sweep(): any point type, any batch item type.
   /// `make_batch(point) -> std::vector<Item>` runs serially on the calling
   /// thread (generation owns the RNG fork chain, so it must not race);
@@ -117,9 +99,8 @@ class Runner {
         std::invoke_result_t<Reduce&, const Point&, const std::vector<Sample>&>;
     std::vector<Row> rows;
     rows.reserve(points.size());
-    last_outcome_ = util::Outcome::kComplete;
     for (const Point& point : points) {
-      if (point_cut()) break;
+      HEDRA_FAULT("exp.sweep.point");
       Batch batch = make_batch(point);
       std::vector<Sample> samples(batch.size());
       pool_.parallel_for_each(batch.size(), [&](std::size_t i) {
@@ -136,12 +117,15 @@ class Runner {
   /// thread, with `samples` in replication order.  Rows come back
   /// point-major, m-minor — the order the figures print.
   ///
-  /// Batches are generated as one SoA arena (generate_flat_batch, bit
-  /// -identical to generate_batch) and every cache binds to its arena slice:
-  /// the platform bound (cache.r_platform) and the simulator run straight
-  /// over flat arrays, and only callbacks that force the τ ⇒ τ' transform
-  /// (fig6/8/9) materialise a Dag — lazily, once, field-identical to the
-  /// legacy object.
+  /// Batches are generated as one SoA arena (generate_flat_batch) and every
+  /// cache binds to its arena slice: the platform bound (cache.r_platform)
+  /// and the simulator run straight over flat arrays, and only callbacks
+  /// that force the τ ⇒ τ' transform (fig6/8/9) materialise a Dag — lazily,
+  /// once.
+  ///
+  /// Both sweeps cross the `exp.sweep.point` fault seam before each point,
+  /// on the calling thread, so an injected throw reaches the caller instead
+  /// of escaping a pool worker.
   template <typename PerDag, typename Reduce>
   auto sweep(const std::vector<SweepPoint>& points, PerDag&& per_dag,
              Reduce&& reduce) {
@@ -150,9 +134,8 @@ class Runner {
     using Row = std::invoke_result_t<Reduce&, const SweepPoint&, int,
                                      const std::vector<Sample>&>;
     std::vector<Row> rows;
-    last_outcome_ = util::Outcome::kComplete;
     for (const SweepPoint& point : points) {
-      if (point_cut()) break;
+      HEDRA_FAULT("exp.sweep.point");
       const graph::FlatDagBatch batch = generate_flat_batch(point.batch);
       std::vector<std::vector<Sample>> samples(
           point.cores.size(), std::vector<Sample>(batch.size()));
@@ -170,21 +153,7 @@ class Runner {
   }
 
  private:
-  /// Point-boundary budget check (and the sweep's fault seam — it runs on
-  /// the calling thread, so an injected throw propagates to the caller
-  /// instead of escaping a pool worker).  True = stop emitting points.
-  bool point_cut() {
-    HEDRA_FAULT("exp.sweep.point");
-    if (deadline_.expired()) {
-      last_outcome_ = util::Outcome::kBudgetExhausted;
-      return true;
-    }
-    return false;
-  }
-
   ThreadPool pool_;
-  util::Deadline deadline_;
-  util::Outcome last_outcome_ = util::Outcome::kComplete;
 };
 
 /// Summary helpers shared by the figure shape scans (rows must expose `m`

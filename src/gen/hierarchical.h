@@ -11,8 +11,8 @@
 /// [min_nodes, max_nodes].
 ///
 /// WCETs are uniform integers in [wcet_min, wcet_max]; the offload node is
-/// NOT chosen here — see gen/offload.h, which mirrors the paper's "randomly
-/// select v_off among all the nodes" step.
+/// NOT chosen here — see gen/flat_gen.h, whose generate_offload_flat is the
+/// paper's "randomly select v_off among all the nodes" step.
 
 #include "gen/params.h"
 #include "graph/dag.h"

@@ -32,10 +32,11 @@ struct HierarchicalParams {
   Time wcet_max = 100;    ///< C_max
   int max_attempts = 100000;  ///< generation retries before giving up
 
-  // -- Multi-device knobs (see gen/multi_device.h).  generate_hierarchical
-  //    itself produces pure host DAGs and ignores these; the multi-device
-  //    variant and exp::generate_batch consume them.  num_devices = 0 keeps
-  //    the paper's pipeline (separate single-offload selection) untouched.
+  // -- Multi-device knobs (see gen/flat_gen.h).  generate_hierarchical
+  //    itself produces pure host DAGs and ignores these;
+  //    generate_multi_device_flat and exp::generate_flat_batch consume them.
+  //    num_devices = 0 keeps the paper's pipeline (one offload node,
+  //    generate_offload_flat).
   int num_devices = 0;          ///< K accelerator device classes to populate
   int offloads_per_device = 1;  ///< offload nodes assigned to each device
   /// Relative share of the offloaded volume each device receives (size
@@ -51,7 +52,7 @@ struct HierarchicalParams {
   /// WCET speedup per accelerator class (size num_devices, strictly
   /// positive finite entries); empty = every device runs at the host's
   /// reference speed.  Unlike device_units this DOES affect generation:
-  /// set_offload_ratio_multi divides each device's volume budget by its
+  /// generate_multi_device_flat divides each device's volume budget by its
   /// speedup, so a 2× device realises half the ticks for the same nominal
   /// share of work (heterogeneous WCET scaling; the generated WCETs are
   /// device-time, ready for analysis and simulation unscaled).
@@ -69,32 +70,6 @@ struct HierarchicalParams {
   [[nodiscard]] static HierarchicalParams large_tasks_100_250();
 
   /// Throws hedra::Error if any field is out of range.
-  void validate() const;
-};
-
-/// Parameters for the layered Erdős–Rényi generator (the style of [12][18]).
-struct LayeredParams {
-  int min_layers = 3;
-  int max_layers = 8;
-  int min_width = 1;
-  int max_width = 10;
-  double p_edge = 0.35;  ///< probability of an edge between consecutive layers
-  Time wcet_min = 1;
-  Time wcet_max = 100;
-
-  void validate() const;
-};
-
-/// Parameters for the nested fork-join generator.
-struct ForkJoinParams {
-  int depth = 2;          ///< nesting depth
-  int min_branches = 2;
-  int max_branches = 4;
-  int min_segment = 1;    ///< sequential nodes per branch segment
-  int max_segment = 3;
-  Time wcet_min = 1;
-  Time wcet_max = 100;
-
   void validate() const;
 };
 

@@ -2,18 +2,9 @@
 
 #include <cmath>
 
-#include "gen/offload.h"
-#include "graph/critical_path.h"
+#include "util/error.h"
 
 namespace hedra::gen {
-
-void TaskSetParams::validate() const {
-  HEDRA_REQUIRE(num_tasks >= 1, "task set needs at least one task");
-  HEDRA_REQUIRE(total_utilization > 0.0, "total utilisation must be positive");
-  HEDRA_REQUIRE(coff_ratio >= 0.0 && coff_ratio < 1.0,
-                "coff_ratio must lie in [0, 1)");
-  dag_params.validate();
-}
 
 std::vector<double> uunifast(int n, double total, Rng& rng) {
   HEDRA_REQUIRE(n >= 1, "uunifast needs n >= 1");
@@ -29,32 +20,6 @@ std::vector<double> uunifast(int n, double total, Rng& rng) {
   }
   out[static_cast<std::size_t>(n - 1)] = sum;
   return out;
-}
-
-model::TaskSet generate_task_set(const TaskSetParams& params, Rng& rng) {
-  params.validate();
-  const auto utils = uunifast(params.num_tasks, params.total_utilization, rng);
-  model::TaskSet set;
-  for (int i = 0; i < params.num_tasks; ++i) {
-    graph::Dag dag = generate_hierarchical(params.dag_params, rng);
-    if (params.coff_ratio > 0.0) {
-      (void)select_offload_node(dag, rng);
-      (void)set_offload_ratio(dag, params.coff_ratio);
-    }
-    const double u = utils[static_cast<std::size_t>(i)];
-    const auto vol = static_cast<double>(dag.volume());
-    const graph::Time len = graph::critical_path_length(dag);
-    graph::Time period =
-        std::max<graph::Time>(len, static_cast<graph::Time>(
-                                       std::ceil(vol / u)));
-    graph::Time deadline = period;
-    if (!params.implicit_deadlines && period > len) {
-      deadline = rng.uniform_int(len, period);
-    }
-    set.add(model::DagTask(std::move(dag), period, deadline,
-                           "tau" + std::to_string(i + 1)));
-  }
-  return set;
 }
 
 }  // namespace hedra::gen

@@ -1,46 +1,19 @@
 #pragma once
 
 /// \file taskset_gen.h
-/// Random task-SET generation for schedulability studies, following the
-/// standard recipe in the real-time literature: per-task utilisations from
-/// UUniFast (Bini & Buttazzo), DAG structure from the hierarchical
-/// generator, periods derived as T_i = vol(G_i)/u_i, and constrained
-/// deadlines drawn between len(G_i) and T_i.  The paper itself evaluates a
-/// single task at a time; task sets feed the federated-style
-/// schedulability-study example.
+/// Per-task utilisations for random task-set generation: UUniFast (Bini &
+/// Buttazzo), the standard sampler of the real-time literature.  The
+/// task-set generator itself (DAG structure, periods, deadlines) is
+/// taskset::generate_task_set in taskset/gen.h.
 
 #include <vector>
 
-#include "gen/hierarchical.h"
-#include "gen/params.h"
-#include "model/taskset.h"
 #include "util/rng.h"
 
 namespace hedra::gen {
 
-/// Parameters for one task set.
-struct TaskSetParams {
-  int num_tasks = 4;
-  /// Target Σ vol(G_i)/T_i (host + accelerator workload combined).
-  double total_utilization = 2.0;
-  HierarchicalParams dag_params = HierarchicalParams::small_tasks();
-  /// Target C_off / vol for every task; 0 disables offloading.
-  double coff_ratio = 0.2;
-  /// Implicit (D = T) or constrained deadlines uniform in [len(G), T].
-  bool implicit_deadlines = true;
-
-  void validate() const;
-};
-
 /// UUniFast: `n` utilisations, each in (0, total), summing to `total`.
 /// The classic unbiased sampler over the utilisation simplex.
 [[nodiscard]] std::vector<double> uunifast(int n, double total, Rng& rng);
-
-/// Generates a full task set.  Each task's period is vol(G)/u_i rounded up
-/// and floored at len(G) (a task with T < len(G) is trivially infeasible on
-/// any number of cores, so the generator never produces one; the realised
-/// utilisation is then slightly below the target).
-[[nodiscard]] model::TaskSet generate_task_set(const TaskSetParams& params,
-                                               Rng& rng);
 
 }  // namespace hedra::gen

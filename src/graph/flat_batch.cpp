@@ -65,7 +65,7 @@ void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
   if (order == EdgeOrder::kInsertion) {
     for (const auto& [from, to] : staged.edges) pred[cursor_[to]++] = from;
   } else {
-    // Reproduce the select_offload_node rebuild: edges re-added grouped by
+    // As a rebuild from Dag::edges() leaves them: edges re-added grouped by
     // source id ascending, so predecessor lists come out source-ascending.
     for (NodeId v = 0; v < n; ++v) {
       for (std::uint32_t k = soff[v]; k < soff[v + 1]; ++k) {

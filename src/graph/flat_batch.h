@@ -20,13 +20,14 @@
 /// reached.
 ///
 /// Determinism contract: `append` derives the CSR arrays so that `view(i)`
-/// is byte-identical to `FlatDag(dag_i)` of the legacy pipeline, and
-/// `materialize(i)` reproduces the legacy `Dag` field-for-field (labels
-/// included).  The two legacy pipelines leave different predecessor
-/// orderings behind — `select_offload_node` REBUILDS the Dag from
-/// `Dag::edges()` (grouping edges by source id ascending), while the
-/// multi-device path keeps raw insertion order — so each record carries its
-/// `EdgeOrder` convention.
+/// is byte-identical to `FlatDag(materialize(i))`, and `materialize(i)`
+/// reproduces, field for field (labels included), the Dag the per-DAG
+/// reference pipeline in tests/common/legacy_gen.h builds from the same
+/// seed.  The two generator conventions leave different predecessor
+/// orderings behind — the single-offload §5.1 DAG is laid out as if rebuilt
+/// from `Dag::edges()` (edges grouped by source id ascending, the offload
+/// node relabelled "vOff"), while the K-device DAG keeps raw insertion
+/// order — so each record carries its `EdgeOrder` convention.
 
 #include <cstdint>
 #include <span>
@@ -78,15 +79,15 @@ struct StagedDag {
 
 class FlatDagBatch {
  public:
-  /// Which legacy pipeline's predecessor ordering (and materialisation
-  /// labels) a DAG follows; see the file comment.
+  /// Which generator convention's predecessor ordering (and
+  /// materialisation labels) a DAG follows; see the file comment.
   enum class EdgeOrder : std::uint8_t {
     /// Predecessor lists in raw edge-insertion order; materialises via
-    /// `add_node(wcet)` + `set_device` (multi-device pipeline).
+    /// `add_node(wcet)` + `set_device` (K-device generator).
     kInsertion,
-    /// Predecessor lists grouped by source id ascending, reproducing the
-    /// `select_offload_node` rebuild; the single offload node materialises
-    /// as `NodeKind::kOffload` (label "vOff").
+    /// Predecessor lists grouped by source id ascending, as a rebuild from
+    /// `Dag::edges()` leaves them (single-offload generator); the offload
+    /// node materialises as `NodeKind::kOffload` (label "vOff").
     kGroupedBySource,
   };
 
@@ -123,9 +124,9 @@ class FlatDagBatch {
   /// CSR view of DAG `i`; valid until the next append/clear/move.
   [[nodiscard]] FlatView view(std::size_t i) const;
 
-  /// Rebuilds DAG `i` as a full `Dag`, field-identical (labels included) to
-  /// the legacy pipeline's object.  O(n + e); intended for the cold paths
-  /// (dag_io, DOT, transformation) only.
+  /// Rebuilds DAG `i` as a full `Dag`, labels and edge insertion order
+  /// included.  O(n + e); intended for the cold paths (dag_io, DOT,
+  /// transformation) only.
   [[nodiscard]] Dag materialize(std::size_t i) const;
 
   /// Whole-arena attribute arrays (all DAGs back to back) for batch kernels.
@@ -163,8 +164,8 @@ class FlatDagBatch {
   std::vector<DeviceId> device_;
   std::vector<std::uint8_t> sync_;
   std::vector<NodeId> topo_;
-  // Raw edge list in insertion order, kept so kInsertion DAGs can
-  // materialise with the exact legacy edge ordering.
+  // Raw edge list in insertion order, kept so kInsertion DAGs
+  // materialise with their exact edge insertion order.
   std::vector<NodeId> edge_from_;
   std::vector<NodeId> edge_to_;
   std::vector<std::uint32_t> cursor_;  ///< counting-sort scratch

@@ -42,8 +42,7 @@ TaskSet generate_task_set(const TaskSetGenConfig& config, Rng& rng) {
   const auto utils =
       gen::uunifast(config.num_tasks, config.total_utilization, rng);
   TaskSet set(config.platform());
-  // All tasks generate straight into ONE shared arena (same RNG stream as
-  // the legacy Dag generators — regression-pinned): period and deadline
+  // All tasks generate straight into ONE shared arena: period and deadline
   // derive from the flat arrays, and every task stays arena-backed — the
   // contention analysis and taskset simulator run off the CSR views, and a
   // field-identical Dag is only materialised if a consumer asks for one.

@@ -2,14 +2,13 @@
 
 /// \file gen.h (taskset)
 /// Random generation of sporadic task sets over a shared heterogeneous
-/// platform — the multi-device successor of gen/taskset_gen.h, following
-/// the standard recipe of the real-time literature: per-task utilisations
-/// from UUniFast (Bini & Buttazzo), DAG structure and device placement from
-/// the existing generators (gen::generate_hierarchical /
-/// gen::generate_multi_device, so offload selection, per-device volume mix
-/// and speedup scaling all apply per task), periods derived as
-/// T_i = vol(G_i)/u_i, and constrained deadlines drawn between len(G_i) and
-/// T_i.
+/// platform, following the standard recipe of the real-time literature:
+/// per-task utilisations from UUniFast (Bini & Buttazzo, gen::uunifast),
+/// DAG structure and device placement from the §5.1 generator
+/// (gen::generate_hierarchical_flat / gen::generate_multi_device_flat, so
+/// offload selection, per-device volume mix and speedup scaling all apply
+/// per task), periods derived as T_i = vol(G_i)/u_i, and constrained
+/// deadlines drawn between len(G_i) and T_i.
 ///
 /// Determinism mirrors the experiment engine: every task of a set builds
 /// from its own fork of the set's RNG, and every set of a batch from its
@@ -33,7 +32,7 @@ struct TaskSetGenConfig {
   // hedra-lint: allow(float-in-bound, UUniFast sampling target, not a bound)
   double total_utilization = 2.0;
   /// Per-task DAG shape.  num_devices > 0 populates that many accelerator
-  /// classes per task (gen::generate_multi_device, honouring
+  /// classes per task (gen::generate_multi_device_flat, honouring
   /// offloads_per_device / device_mix / device_speedup); num_devices == 0
   /// generates pure host DAGs.
   gen::HierarchicalParams dag_params = gen::HierarchicalParams::small_tasks();
@@ -59,8 +58,10 @@ struct TaskSetGenConfig {
 };
 
 /// Generates one task set (tasks named "tau1".."tauN").  Each task's period
-/// is vol(G_i)/u_i rounded up and floored at len(G_i), exactly as in
-/// gen::generate_task_set.
+/// is vol(G_i)/u_i rounded up and floored at len(G_i) (a task with
+/// T < len(G) is infeasible on any number of cores, so the generator never
+/// produces one; the realised utilisation is then slightly below the
+/// target).
 [[nodiscard]] TaskSet generate_task_set(const TaskSetGenConfig& config,
                                         Rng& rng);
 

@@ -5,8 +5,8 @@
 #include "analysis/platform_rta.h"
 #include "common/chain_walk_oracle.h"
 #include "common/fixtures.h"
+#include "common/legacy_gen.h"
 #include "exp/experiment.h"
-#include "gen/multi_device.h"
 #include "graph/flat_dag.h"
 #include "util/rng.h"
 

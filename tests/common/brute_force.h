@@ -1,4 +1,13 @@
-#include "exact/brute_force.h"
+#pragma once
+
+/// \file brute_force.h
+/// Exhaustive minimum-makespan search for tiny instances, used ONLY to
+/// cross-validate the branch-and-bound solver in tests.  It enumerates, at
+/// every event time, every subset of ready jobs that could start (host jobs
+/// bounded by free cores, offload jobs by the single accelerator), with no
+/// pruning and no dominance rules — a deliberately independent and obviously
+/// exhaustive implementation over left-shifted schedules.  Exponential;
+/// intended for graphs with at most ~10 nodes.
 
 #include <algorithm>
 #include <cstdint>
@@ -6,10 +15,11 @@
 #include <vector>
 
 #include "graph/algorithms.h"
+#include "graph/dag.h"
 
 namespace hedra::exact {
 
-namespace {
+namespace detail {
 
 using graph::Dag;
 using graph::NodeId;
@@ -141,10 +151,12 @@ class Enumerator {
   Time best_ = 0;
 };
 
-}  // namespace
+}  // namespace detail
 
-Time brute_force_min_makespan(const Dag& dag, int m,
-                              std::size_t max_nodes_allowed) {
+/// Minimum makespan by exhaustive enumeration.  Throws if the graph exceeds
+/// `max_nodes_allowed` (guard against accidental blow-up in tests).
+[[nodiscard]] inline graph::Time brute_force_min_makespan(
+    const graph::Dag& dag, int m, std::size_t max_nodes_allowed = 12) {
   HEDRA_REQUIRE(dag.num_nodes() > 0, "cannot solve an empty graph");
   HEDRA_REQUIRE(dag.num_nodes() <= max_nodes_allowed,
                 "graph too large for brute force");
@@ -153,7 +165,7 @@ Time brute_force_min_makespan(const Dag& dag, int m,
   HEDRA_REQUIRE(dag.max_device() <= 1,
                 "exact solvers model a single accelerator device; "
                 "multi-device DAGs are not supported");
-  Enumerator e(dag, m);
+  detail::Enumerator e(dag, m);
   return e.solve();
 }
 

@@ -11,8 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/brute_force.h"
 #include "common/fixtures.h"
-#include "exact/brute_force.h"
 #include "exp/experiment.h"
 #include "graph/dag.h"
 

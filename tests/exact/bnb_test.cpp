@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/brute_force.h"
 #include "common/fixtures.h"
+#include "common/legacy_gen.h"
 #include "exact/bounds.h"
-#include "exact/brute_force.h"
 #include "exact/list_heuristics.h"
 #include "gen/hierarchical.h"
-#include "gen/offload.h"
 #include "util/error.h"
 #include "util/rng.h"
 

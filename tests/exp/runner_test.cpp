@@ -7,11 +7,12 @@
 
 #include "exp/fig6.h"
 #include "exp/fig9.h"
-#include "graph/dag_io.h"
+#include "util/fault.h"
 
 /// The engine's core promises: N-thread sweeps are bit-identical to serial
-/// ones, and batch seeds derived from nearby master seeds can never collide
-/// (the historical `seed + 0x1000 * index` scheme could).
+/// ones, batch seeds derived from nearby master seeds can never collide
+/// (the historical `seed + 0x1000 * index` scheme could), and failures
+/// reach the caller.
 
 namespace hedra::exp {
 namespace {
@@ -59,24 +60,6 @@ TEST(MakeGridTest, ExpandsRatioMajorWithForkedSeeds) {
     EXPECT_EQ(points[i].batch.count, 5);
     EXPECT_EQ(points[i].batch.seed, seeds[i]);
     EXPECT_EQ(points[i].cores, spec.cores);
-  }
-}
-
-TEST(RunnerTest, ParallelBatchGenerationIsBitIdenticalToSerial) {
-  BatchConfig config;
-  config.params.min_nodes = 20;
-  config.params.max_nodes = 60;
-  config.coff_ratio = 0.2;
-  config.count = 24;
-  config.seed = 1234;
-  const auto serial = generate_batch(config);
-  Runner runner(4);
-  const auto parallel = runner.generate(config);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(graph::write_dag_text(serial[i]),
-              graph::write_dag_text(parallel[i]))
-        << "replication " << i;
   }
 }
 
@@ -168,6 +151,51 @@ TEST(RunnerTest, PerDagExceptionsPropagateToCaller) {
             return samples.size();
           }),
       Error);
+}
+
+/// The sweep's fault seam sits on the calling thread between points: an
+/// injected throw reaches the caller of either sweep, even with a pool,
+/// and leaves the runner able to sweep again.
+TEST(RunnerTest, FaultAtASweepPointReachesTheCaller) {
+  GridSpec spec;
+  spec.ratios = {0.1, 0.2, 0.3};
+  spec.cores = {2};
+  spec.dags_per_point = 4;
+  spec.params.min_nodes = 10;
+  spec.params.max_nodes = 40;
+  spec.seed = 17;
+  const auto points = make_grid(spec);
+  const auto per_dag = [](analysis::AnalysisCache& cache, int) {
+    return cache.volume();
+  };
+  const auto reduce = [](const SweepPoint&, int,
+                         const std::vector<graph::Time>& samples) {
+    return samples;
+  };
+  const auto clean = Runner(1).sweep(points, per_dag, reduce);
+
+  Runner runner(4);
+  fault::Trigger second;
+  second.nth = 2;
+  fault::clear_registry();
+  fault::arm("exp.sweep.point", second);
+  EXPECT_THROW((void)runner.sweep(points, per_dag, reduce), fault::Injected);
+  fault::arm("exp.sweep.point", second);  // re-arming restarts the hit count
+  EXPECT_THROW(
+      (void)runner.sweep_items(
+          points,
+          [](const SweepPoint& point) {
+            return std::vector<double>{point.ratio};
+          },
+          [](double& ratio, const SweepPoint&) { return ratio; },
+          [](const SweepPoint&, const std::vector<double>& samples) {
+            return samples.size();
+          }),
+      fault::Injected);
+  fault::reset();
+  fault::clear_registry();
+
+  EXPECT_EQ(runner.sweep(points, per_dag, reduce), clean);
 }
 
 }  // namespace

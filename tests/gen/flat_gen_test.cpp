@@ -1,9 +1,9 @@
 /// \file flat_gen_test.cpp
-/// Arena-vs-legacy equivalence: the SoA batch generators must consume the
-/// RNG fork-chain streams identically to the per-DAG pipelines, so for any
-/// seed the arena batch is bit-identical to the legacy batch.  A golden
-/// FNV-1a batch hash pins the stream against silent regressions in either
-/// path.
+/// The §5.1 generator against its reference: the arena batch, its
+/// materialised Dags and exp::generate_batch must all equal, for any seed,
+/// the batch the per-DAG reference pipeline (common/legacy_gen.h) builds
+/// from the same RNG fork chain.  A golden FNV-1a batch hash pins the
+/// stream itself against silent regressions.
 
 #include "gen/flat_gen.h"
 
@@ -11,10 +11,9 @@
 
 #include <cstdint>
 
+#include "common/legacy_gen.h"
 #include "exp/experiment.h"
 #include "gen/hierarchical.h"
-#include "gen/multi_device.h"
-#include "gen/offload.h"
 #include "graph/flat_dag.h"
 
 namespace hedra::gen {
@@ -27,7 +26,7 @@ using graph::FlatDagBatch;
 using graph::FlatView;
 using graph::NodeId;
 
-/// Element-wise equality of an arena view and a legacy snapshot's view.
+/// Element-wise equality of an arena view and a reference snapshot's view.
 void expect_view_equals_flat(const FlatView& view, const FlatView& flat,
                              const std::string& context) {
   SCOPED_TRACE(context);
@@ -49,7 +48,7 @@ void expect_view_equals_flat(const FlatView& view, const FlatView& flat,
                                  flat.topological_order()));
 }
 
-/// Field-for-field equality of a materialised Dag and the legacy Dag,
+/// Field-for-field equality of a generated Dag and the reference Dag,
 /// labels included.
 void expect_dag_equals(const Dag& got, const Dag& want,
                        const std::string& context) {
@@ -66,17 +65,21 @@ void expect_dag_equals(const Dag& got, const Dag& want,
   }
 }
 
+/// The arena batch (views and materialised Dags) and exp::generate_batch,
+/// each against the reference batch.
 void expect_batch_equals_legacy(const BatchConfig& config,
                                 const std::string& context) {
-  const std::vector<Dag> legacy = exp::generate_batch(config);
+  const std::vector<Dag> legacy = legacy_generate_batch(config);
   const FlatDagBatch batch = exp::generate_flat_batch(config);
+  const std::vector<Dag> dags = exp::generate_batch(config);
   ASSERT_EQ(batch.size(), legacy.size()) << context;
+  ASSERT_EQ(dags.size(), legacy.size()) << context;
   for (std::size_t i = 0; i < legacy.size(); ++i) {
+    const std::string where = context + ", dag " + std::to_string(i);
     const FlatDag flat(legacy[i]);
-    expect_view_equals_flat(batch.view(i), flat.view(),
-                            context + ", dag " + std::to_string(i));
-    expect_dag_equals(batch.materialize(i), legacy[i],
-                      context + ", dag " + std::to_string(i));
+    expect_view_equals_flat(batch.view(i), flat.view(), where);
+    expect_dag_equals(batch.materialize(i), legacy[i], where);
+    expect_dag_equals(dags[i], legacy[i], where + ", generate_batch");
   }
 }
 

@@ -4,8 +4,8 @@
 #include <limits>
 #include <set>
 
+#include "common/legacy_gen.h"
 #include "gen/hierarchical.h"
-#include "gen/multi_device.h"
 #include "graph/validate.h"
 #include "util/rng.h"
 

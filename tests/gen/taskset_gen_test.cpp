@@ -4,8 +4,6 @@
 
 #include <numeric>
 
-#include "graph/critical_path.h"
-#include "graph/validate.h"
 #include "util/error.h"
 
 namespace hedra::gen {
@@ -49,94 +47,6 @@ TEST(UUniFastTest, InvalidArgsThrow) {
   Rng rng(5);
   EXPECT_THROW(uunifast(0, 1.0, rng), Error);
   EXPECT_THROW(uunifast(3, 0.0, rng), Error);
-}
-
-TEST(TaskSetGenTest, ProducesRequestedCount) {
-  Rng rng(7);
-  TaskSetParams params;
-  params.num_tasks = 5;
-  const auto set = generate_task_set(params, rng);
-  EXPECT_EQ(set.size(), 5u);
-}
-
-TEST(TaskSetGenTest, UtilizationNearTarget) {
-  Rng rng(8);
-  TaskSetParams params;
-  params.num_tasks = 6;
-  params.total_utilization = 2.0;
-  const auto set = generate_task_set(params, rng);
-  // Period rounding and the T >= len(G) floor shave a little utilisation.
-  EXPECT_LE(set.total_utilization(), 2.0 + 1e-9);
-  EXPECT_GT(set.total_utilization(), 1.2);
-}
-
-TEST(TaskSetGenTest, TasksAreValidHeterogeneousModels) {
-  Rng rng(9);
-  TaskSetParams params;
-  params.num_tasks = 4;
-  params.coff_ratio = 0.25;
-  const auto set = generate_task_set(params, rng);
-  for (const auto& task : set) {
-    EXPECT_TRUE(graph::is_valid(task.dag(), graph::heterogeneous_rules()));
-    EXPECT_GE(task.period(),
-              graph::critical_path_length(task.dag()));
-  }
-}
-
-TEST(TaskSetGenTest, ZeroCoffSkipsOffloading) {
-  Rng rng(10);
-  TaskSetParams params;
-  params.coff_ratio = 0.0;
-  const auto set = generate_task_set(params, rng);
-  for (const auto& task : set) {
-    EXPECT_TRUE(task.dag().offload_nodes().empty());
-  }
-}
-
-TEST(TaskSetGenTest, ConstrainedDeadlinesWithinWindow) {
-  Rng rng(11);
-  TaskSetParams params;
-  params.num_tasks = 8;
-  params.implicit_deadlines = false;
-  const auto set = generate_task_set(params, rng);
-  for (const auto& task : set) {
-    EXPECT_LE(task.deadline(), task.period());
-    EXPECT_GE(task.deadline(),
-              graph::critical_path_length(task.dag()));
-  }
-}
-
-TEST(TaskSetGenTest, ImplicitDeadlinesEqualPeriods) {
-  Rng rng(12);
-  TaskSetParams params;
-  params.implicit_deadlines = true;
-  const auto set = generate_task_set(params, rng);
-  for (const auto& task : set) {
-    EXPECT_EQ(task.deadline(), task.period());
-  }
-}
-
-TEST(TaskSetGenTest, Deterministic) {
-  TaskSetParams params;
-  Rng a(13);
-  Rng b(13);
-  const auto sa = generate_task_set(params, a);
-  const auto sb = generate_task_set(params, b);
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].period(), sb[i].period());
-    EXPECT_EQ(sa[i].dag().volume(), sb[i].dag().volume());
-  }
-}
-
-TEST(TaskSetGenTest, InvalidParamsThrow) {
-  Rng rng(14);
-  TaskSetParams params;
-  params.num_tasks = 0;
-  EXPECT_THROW(generate_task_set(params, rng), Error);
-  params = TaskSetParams{};
-  params.coff_ratio = 1.0;
-  EXPECT_THROW(generate_task_set(params, rng), Error);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 #include "analysis/analysis_cache.h"
 #include "analysis/rta_heterogeneous.h"
 #include "common/fixtures.h"
+#include "common/legacy_gen.h"
 #include "graph/dag_io.h"
 #include "gen/hierarchical.h"
-#include "gen/offload.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 

@@ -2,10 +2,10 @@
 
 #include "analysis/schedulability.h"
 #include "common/fixtures.h"
+#include "common/legacy_gen.h"
 #include "exact/bnb.h"
 #include "exp/experiment.h"
 #include "gen/hierarchical.h"
-#include "gen/offload.h"
 #include "graph/dag_io.h"
 #include "graph/dot.h"
 #include "graph/validate.h"

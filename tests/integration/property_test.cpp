@@ -5,11 +5,10 @@
 #include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
 #include "common/fixtures.h"
+#include "common/legacy_gen.h"
 #include "exact/bnb.h"
 #include "exact/bounds.h"
 #include "gen/hierarchical.h"
-#include "gen/multi_device.h"
-#include "gen/offload.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "sim/scheduler.h"

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <string>
 
-#include "gen/multi_device.h"
+#include "common/legacy_gen.h"
 #include "graph/flat_dag.h"
 #include "taskset/contention_rta.h"
 #include "taskset/gen.h"
