@@ -1,12 +1,10 @@
 #pragma once
 
 /// \file dense_dag.h
-/// Shared bench workload: random id-ordered DAGs dense enough to carry many
+/// Bench workload: random id-ordered DAGs dense enough to carry many
 /// transitive edges.  The hierarchical generator emits transitively reduced
-/// graphs, which would make the reduction kernels trivial — so the
-/// transitive-closure/reduction benchmarks (perf_report and
-/// micro_algorithms) build from this instead, and must keep measuring the
-/// same workload shape.
+/// graphs, which would make the reduction kernel trivial — so
+/// BM_TransitiveReduction in micro_algorithms builds from this instead.
 
 #include <cstdint>
 #include <vector>

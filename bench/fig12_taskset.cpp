@@ -13,6 +13,7 @@
 #include "exp/fig12.h"
 #include "exp/report.h"
 #include "util/cli.h"
+#include "util/error.h"
 
 int main(int argc, char** argv) {
   hedra::ArgParser parser("fig12_taskset",
@@ -36,6 +37,8 @@ int main(int argc, char** argv) {
       "jobs", 0, "worker threads (0 = all hardware threads)");
   try {
     if (!parser.parse(argc, argv)) return 0;
+    HEDRA_REQUIRE(*max_devices >= 1, "--max-devices must be >= 1");
+    HEDRA_REQUIRE(*max_units >= 1, "--max-units must be >= 1");
 
     hedra::exp::Fig12Config config;
     config.tasksets_per_point = static_cast<int>(*tasksets);

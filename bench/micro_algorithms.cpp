@@ -154,6 +154,27 @@ void BM_SimulatePolicySweepShape(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatePolicySweepShape)->DenseRange(0, 4);
 
+// The anomaly sweeps' shape: simulate_with_times under every policy over
+// one CSR snapshot, with the actual times drawn once outside the timed
+// loop so every iteration replays identical work.
+void BM_SimulateWithTimes(benchmark::State& state) {
+  const Dag dag = make_instance(60, 120, 17, 0.25);
+  const hedra::graph::FlatDag flat(dag);
+  Rng rng(17);
+  const auto actual = hedra::sim::random_actual_times(dag, 0.3, rng);
+  hedra::sim::SimConfig config;
+  config.cores = 8;
+  config.validate = false;
+  for (auto _ : state) {
+    for (const auto policy : hedra::sim::all_policies()) {
+      config.policy = policy;
+      benchmark::DoNotOptimize(
+          hedra::sim::simulate_with_times(flat.view(), config, actual));
+    }
+  }
+}
+BENCHMARK(BM_SimulateWithTimes);
+
 void BM_FlatDagBuild(benchmark::State& state) {
   const Dag dag =
       make_instance(static_cast<int>(state.range(0)),

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "graph/critical_path.h"
-
 namespace hedra::model {
 
 namespace {
@@ -62,34 +60,6 @@ Frac DagTask::utilization() const {
     return Frac(volume, period_);
   }
   return Frac(dag_->volume(), period_);
-}
-
-Frac DagTask::density() const {
-  if (batch_ != nullptr) {
-    Time volume = 0;
-    for (const Time c : flat_view().wcets()) volume += c;
-    return Frac(volume, deadline_);
-  }
-  return Frac(dag_->volume(), deadline_);
-}
-
-Frac DagTask::host_utilization() const {
-  if (batch_ != nullptr) {
-    const graph::FlatView view = flat_view();
-    Time host = 0;
-    for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
-      if (view.device(v) == graph::kHostDevice) host += view.wcet(v);
-    }
-    return Frac(host, period_);
-  }
-  return Frac(dag_->host_volume(), period_);
-}
-
-Frac DagTask::length_ratio() const {
-  if (batch_ != nullptr) {
-    return Frac(graph::critical_path_length(flat_view()), deadline_);
-  }
-  return Frac(graph::critical_path_length(*dag_), deadline_);
 }
 
 }  // namespace hedra::model

@@ -68,15 +68,6 @@ class DagTask {
   /// vol(G) / T — the task's utilisation (host + accelerator workload).
   [[nodiscard]] Frac utilization() const;
 
-  /// vol(G) / D.
-  [[nodiscard]] Frac density() const;
-
-  /// Host-only utilisation: (vol(G) - C_off) / T.
-  [[nodiscard]] Frac host_utilization() const;
-
-  /// len(G) / D — no m-core platform can meet D if this exceeds 1.
-  [[nodiscard]] Frac length_ratio() const;
-
  private:
   /// Present for eager tasks; lazily filled for arena-backed ones.  Shared
   /// between copies.

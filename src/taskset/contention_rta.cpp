@@ -310,13 +310,12 @@ FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
 }
 
 /// Dispatches to the integer fast path when safe, recording which engine
-/// ran and what it cost into `telemetry` (nullable: contention_response
-/// has no whole-set accumulator).  Counters only — the dispatch decision
-/// and the returned values are untouched.
+/// ran and what it cost into `telemetry`.  Counters only — the dispatch
+/// decision and the returned values are untouched.
 FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
                         std::size_t index, const Frac& seed,
                         graph::Time deadline, util::Budget* budget,
-                        FixpointTelemetry* telemetry = nullptr) {
+                        FixpointTelemetry& telemetry) {
   bool int_path = false;
   std::optional<FixpointResult> result;
   if (q.base_scale > 0) {
@@ -338,16 +337,14 @@ FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
   if (!result) {
     result = fixpoint_frac(set, q, index, seed, deadline, budget);
   }
-  if (telemetry != nullptr) {
-    ++telemetry->fixpoint_solves;
-    if (int_path) {
-      ++telemetry->int_path;
-    } else {
-      ++telemetry->frac_path;
-    }
-    telemetry->iterations += static_cast<std::uint64_t>(result->iterations);
-    if (result->truncated) ++telemetry->truncated;
+  ++telemetry.fixpoint_solves;
+  if (int_path) {
+    ++telemetry.int_path;
+  } else {
+    ++telemetry.frac_path;
   }
+  telemetry.iterations += static_cast<std::uint64_t>(result->iterations);
+  if (result->truncated) ++telemetry.truncated;
   return *result;
 }
 
@@ -417,7 +414,7 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
       ++telemetry.seed_evals;
     }
     FixpointResult result =
-        fixpoint(set, q, index, seed, deadline, budget, &telemetry);
+        fixpoint(set, q, index, seed, deadline, budget, telemetry);
     if (result.converged && result.response <= Frac(deadline)) {
       best = std::move(result);
       assigned = m;
@@ -595,24 +592,6 @@ ContentionAnalysis analyse(const TaskSet& set, const PriorAnalysis* prior,
 }
 
 }  // namespace
-
-Frac contention_response(const TaskSet& set, std::size_t index, int cores,
-                         bool* converged, util::Budget* budget) {
-  HEDRA_REQUIRE(index < set.size(), "task index out of range");
-  HEDRA_REQUIRE(cores >= 1, "need at least one dedicated host core");
-  SetQuantities q = set_quantities(set);
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    task_volumes(set[i], q.num_devices,
-                 q.volume.data() + i * q.num_devices);
-  }
-  index_users(set, q);
-  SeedBound seed_bound(set[index], q);
-  const Frac seed = seed_bound(cores);
-  const FixpointResult result =
-      fixpoint(set, q, index, seed, set[index].deadline(), budget);
-  if (converged != nullptr) *converged = result.converged;
-  return result.response;
-}
 
 ContentionAnalysis contention_rta(const TaskSet& set, util::Budget* budget) {
   HEDRA_REQUIRE(!set.empty(), "contention_rta needs a non-empty task set");

@@ -176,15 +176,6 @@ struct PriorAnalysis {
     const TaskSet& set, const PriorAnalysis* prior, AnalysisMemo* memo,
     util::Budget* budget = nullptr);
 
-/// The inflated response-time fixpoint of task `index` on `cores` dedicated
-/// host cores, ignoring the partitioning step — the building block
-/// contention_rta iterates, exposed for tests and tooling.  Returns the
-/// fixpoint (which may exceed the deadline); sets `converged` to false if
-/// the iteration crossed the deadline instead of stabilising.
-[[nodiscard]] Frac contention_response(const TaskSet& set, std::size_t index,
-                                       int cores, bool* converged = nullptr,
-                                       util::Budget* budget = nullptr);
-
 /// Human-readable verdict: per-task allocation and bound vs deadline, and —
 /// for the tightest task — the dominating (competitor task, device) pair,
 /// i.e. the contention edge to relieve first when the set is rejected.

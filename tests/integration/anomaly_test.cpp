@@ -19,8 +19,8 @@
 /// Every draw × policy run of a sweep simulates the SAME frozen graph, so
 /// the sweeps batch their simulate_with_times calls over one
 /// AnalysisCache CSR snapshot per DAG instead of re-snapshotting per call
-/// (15 snapshots per DAG before; measured by the sim_with_times_batch
-/// kernel of bench/perf_report).
+/// (15 snapshots per DAG before; BM_SimulateWithTimes in
+/// bench/micro_algorithms times this shape).
 
 namespace hedra {
 namespace {

@@ -34,19 +34,6 @@ TEST(TaskTest, UtilizationIsExact) {
   const auto ex = testing::paper_example();  // vol = 18
   const DagTask task(ex.dag, 36, 36);
   EXPECT_EQ(task.utilization(), Frac(1, 2));
-  EXPECT_EQ(task.density(), Frac(1, 2));
-}
-
-TEST(TaskTest, HostUtilizationExcludesOffload) {
-  const auto ex = testing::paper_example();  // host vol = 14
-  const DagTask task(ex.dag, 28, 28);
-  EXPECT_EQ(task.host_utilization(), Frac(1, 2));
-}
-
-TEST(TaskTest, LengthRatio) {
-  const auto ex = testing::paper_example();  // len = 8
-  const DagTask task(ex.dag, 16, 16);
-  EXPECT_EQ(task.length_ratio(), Frac(1, 2));
 }
 
 TEST(TaskTest, MutableDagAllowsCoffSweeps) {

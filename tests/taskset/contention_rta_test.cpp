@@ -57,10 +57,6 @@ TEST(ContentionRtaTest, SingleTaskReducesToRplatformExactly) {
         EXPECT_EQ(task.response, cache.r_platform(task.cores, unit_vec))
             << "K=" << devices << " units=" << units;
         EXPECT_EQ(task.iterations, 1);  // fixpoint converges at the seed
-        bool converged = false;
-        EXPECT_EQ(contention_response(set, 0, task.cores, &converged),
-                  task.response);
-        EXPECT_TRUE(converged);
       }
     }
   }
@@ -188,10 +184,6 @@ TEST(ContentionRtaTest, SpeedupScalesTheSeedBound) {
 
 TEST(ContentionRtaTest, InvalidInputsThrow) {
   EXPECT_THROW(contention_rta(TaskSet(Platform::parse("4:gpu"))), Error);
-  TaskSet set(Platform::parse("4:gpu"));
-  set.add(DagTask(chain_dag(10, 8, 1), 200, 200, "tau1"));
-  EXPECT_THROW((void)contention_response(set, 1, 2), Error);
-  EXPECT_THROW((void)contention_response(set, 0, 0), Error);
 }
 
 }  // namespace
