@@ -17,6 +17,7 @@
 
 #include <array>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "analysis/multi_offload.h"
@@ -57,7 +58,8 @@ std::vector<SweepPoint> ratio_points(int dags, std::uint64_t seed,
   return points;
 }
 
-void run_policy_ablation(int dags, std::uint64_t seed, int jobs) {
+/// The scheduler-policy section, rendered.
+std::string policy_ablation(int dags, std::uint64_t seed, int jobs) {
   const std::vector<hedra::sim::Policy> policies{
       hedra::sim::Policy::kBreadthFirst, hedra::sim::Policy::kDepthFirst,
       hedra::sim::Policy::kCriticalPathFirst,
@@ -117,12 +119,13 @@ void run_policy_ablation(int dags, std::uint64_t seed, int jobs) {
     }
     table.add_separator();
   }
-  std::cout << "-- Scheduler-policy ablation (m = 8): does the "
-               "transformation help under smarter schedulers? --\n"
-            << table.render() << "\n";
+  return "-- Scheduler-policy ablation (m = 8): does the transformation "
+         "help under smarter schedulers? --\n" +
+         table.render() + "\n";
 }
 
-void run_analysis_ablation(int dags, std::uint64_t seed, int jobs) {
+/// The analysis-variant section, rendered.
+std::string analysis_ablation(int dags, std::uint64_t seed, int jobs) {
   struct Sample {
     double hom, het, best, chain, naive;
   };
@@ -166,9 +169,9 @@ void run_analysis_ablation(int dags, std::uint64_t seed, int jobs) {
                    hedra::format_double(row.chain, 1),
                    hedra::format_double(row.naive, 1)});
   }
-  std::cout << "-- Analysis-variant ablation (mean bound, lower is tighter; "
-               "naive shown only to illustrate what unsoundness buys) --\n"
-            << table.render() << "\n";
+  return "-- Analysis-variant ablation (mean bound, lower is tighter; naive "
+         "shown only to illustrate what unsoundness buys) --\n" +
+         table.render() + "\n";
 }
 
 }  // namespace
@@ -183,13 +186,17 @@ int main(int argc, char** argv) {
       "jobs", 0, "worker threads (0 = all hardware threads)");
   try {
     if (!parser.parse(argc, argv)) return 0;
-    std::cout << "== Ablation bench ==\n\n";
-    run_policy_ablation(static_cast<int>(*dags),
+    // Both tables are built before anything is printed, so a rejected
+    // config leaves stdout empty.
+    const std::string policies =
+        policy_ablation(static_cast<int>(*dags),
                         static_cast<std::uint64_t>(*seed),
                         static_cast<int>(*jobs));
-    run_analysis_ablation(static_cast<int>(*dags),
+    const std::string analyses =
+        analysis_ablation(static_cast<int>(*dags),
                           static_cast<std::uint64_t>(*seed),
                           static_cast<int>(*jobs));
+    std::cout << "== Ablation bench ==\n\n" << policies << analyses;
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

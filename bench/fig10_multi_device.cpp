@@ -41,13 +41,13 @@ int main(int argc, char** argv) {
       config.devices.push_back(k);
     }
 
+    const auto result = hedra::exp::run_fig10(config);
     std::cout << "== Figure 10: K-device platform bound vs every "
                  "work-conserving policy ==\n"
               << "K in [1, " << *max_devices << "], " << *per_device
               << " offload(s)/device, n in [" << *min_nodes << ", "
               << *max_nodes << "], " << *dags << " DAGs/point, seed " << *seed
               << "\n\n";
-    const auto result = hedra::exp::run_fig10(config);
     std::cout << hedra::exp::render_fig10(result);
     if (!csv->empty()) {
       hedra::exp::write_fig10_csv(result, *csv);

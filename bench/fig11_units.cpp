@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
       }
     }
 
+    const auto result = hedra::exp::run_fig11(config);
     std::cout << "== Figure 11: per-device multiplicity n_d vs the "
                  "generalised platform bound ==\n"
               << "K = " << *devices << ", "
@@ -72,7 +73,6 @@ int main(int argc, char** argv) {
               << ", " << *per_device << " offload(s)/device, n in ["
               << *min_nodes << ", " << *max_nodes << "], " << *dags
               << " DAGs/point, seed " << *seed << "\n\n";
-    const auto result = hedra::exp::run_fig11(config);
     std::cout << hedra::exp::render_fig11(result);
     if (!csv->empty()) {
       hedra::exp::write_fig11_csv(result, *csv);

@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
       config.jobs_per_task = 2;
     }
 
+    const auto result = hedra::exp::run_fig12(config);
     std::cout << "== Figure 12: sporadic taskset admission under "
                  "shared-accelerator contention ==\n"
               << config.num_tasks << " tasks/set, "
@@ -72,7 +73,6 @@ int main(int argc, char** argv) {
               << config.devices.back() << "], n_d in [1, "
               << config.units.back() << "], " << config.jobs_per_task
               << " jobs/task simulated, seed " << config.seed << "\n\n";
-    const auto result = hedra::exp::run_fig12(config);
     std::cout << hedra::exp::render_fig12(result);
     int violations = 0;
     for (const auto& summary : result.summaries) {

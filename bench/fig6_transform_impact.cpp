@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
     config.params.min_nodes = static_cast<int>(*min_nodes);
     config.params.max_nodes = static_cast<int>(*max_nodes);
 
+    const auto result = hedra::exp::run_fig6(config);
     std::cout << "== Figure 6: % change of avg execution time of tau vs tau' "
                  "(breadth-first scheduler) ==\n"
               << "n in [" << *min_nodes << ", " << *max_nodes << "], "
               << *dags << " DAGs/point, seed " << *seed << "\n\n";
-    const auto result = hedra::exp::run_fig6(config);
     std::cout << hedra::exp::render_fig6(result);
     if (!csv->empty()) {
       hedra::exp::write_fig6_csv(result, *csv);

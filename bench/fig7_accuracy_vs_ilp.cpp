@@ -43,11 +43,11 @@ int main(int argc, char** argv) {
     config.solver.max_nodes = static_cast<std::uint64_t>(*max_nodes);
     config.solver.jobs = static_cast<int>(*solver_jobs);
 
+    const auto result = hedra::exp::run_fig7(config);
     std::cout << "== Figure 7: increment of R_hom / R_het over the minimum "
                  "makespan (exact solver) ==\n"
               << "cases: m=2 n in [3,20]; m=8 n in [30,60]; " << *dags
               << " DAGs/point, seed " << *seed << "\n\n";
-    const auto result = hedra::exp::run_fig7(config);
     std::cout << hedra::exp::render_fig7(result);
     if (!csv->empty()) {
       hedra::exp::write_fig7_csv(result, *csv);

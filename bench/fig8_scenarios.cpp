@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
     config.params.min_nodes = static_cast<int>(*min_nodes);
     config.params.max_nodes = static_cast<int>(*max_nodes);
 
+    const auto result = hedra::exp::run_fig8(config);
     std::cout << "== Figure 8: occurrence of Theorem 1 scenarios ==\n"
               << "n in [" << *min_nodes << ", " << *max_nodes << "], "
               << *dags << " DAGs/point, seed " << *seed << "\n\n";
-    const auto result = hedra::exp::run_fig8(config);
     std::cout << hedra::exp::render_fig8(result);
     if (!csv->empty()) {
       hedra::exp::write_fig8_csv(result, *csv);

@@ -33,11 +33,11 @@ int main(int argc, char** argv) {
     config.params.min_nodes = static_cast<int>(*min_nodes);
     config.params.max_nodes = static_cast<int>(*max_nodes);
 
+    const auto result = hedra::exp::run_fig9(config);
     std::cout << "== Figure 9 + §5.4 maxima: % change of R_hom w.r.t. R_het "
                  "==\n"
               << "n in [" << *min_nodes << ", " << *max_nodes << "], "
               << *dags << " DAGs/point, seed " << *seed << "\n\n";
-    const auto result = hedra::exp::run_fig9(config);
     std::cout << hedra::exp::render_fig9(result);
     if (!csv->empty()) {
       hedra::exp::write_fig9_csv(result, *csv);

@@ -46,8 +46,8 @@ const graph::CriticalPathInfo& AnalysisCache::critical_path() {
 
 const TheoremQuantities& AnalysisCache::quantities() {
   if (!quantities_) {
-    // Inline `measure` against the cached CriticalPathInfo so the longest
-    // -path pass over G' is shared with any other critical_path() user.
+    // Measured against the cached CriticalPathInfo so the longest-path
+    // pass over G' is shared with any other critical_path() user.
     const TransformResult& t = transform();
     const graph::CriticalPathInfo& info = critical_path();
     TheoremQuantities q{};
@@ -116,18 +116,7 @@ Frac AnalysisCache::r_platform(int m, std::span<const int> device_units,
                         device_speedup);
 }
 
-Frac AnalysisCache::r_platform(const model::Platform& platform) {
-  platform.validate();
-  {
-    const auto issues = model::check_supports(platform, original());
-    HEDRA_REQUIRE(issues.empty(),
-                  "platform does not support the DAG: " + issues.front());
-  }
-  return r_platform(platform.cores, platform.device_units,
-                    platform.device_speedup);
-}
-
-HetAnalysis AnalysisCache::assemble(int m) {
+HetAnalysis AnalysisCache::analyze(int m) && {
   const TheoremQuantities& q = quantities();
   HetAnalysis out;
   out.scenario = classify(q, m);
@@ -141,17 +130,6 @@ HetAnalysis AnalysisCache::assemble(int m) {
   out.len_gpar = q.len_gpar;
   out.vol_gpar = q.vol_gpar;
   out.c_off = q.c_off;
-  return out;
-}
-
-HetAnalysis AnalysisCache::analyze(int m) & {
-  HetAnalysis out = assemble(m);
-  out.transform = transform();
-  return out;
-}
-
-HetAnalysis AnalysisCache::analyze(int m) && {
-  HetAnalysis out = assemble(m);
   out.transform = *std::move(transform_);
   transform_.reset();
   return out;

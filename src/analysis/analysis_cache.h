@@ -32,7 +32,6 @@
 #include "graph/dag.h"
 #include "graph/flat_batch.h"
 #include "graph/flat_dag.h"
-#include "model/platform.h"
 #include "util/fraction.h"
 
 namespace hedra::analysis {
@@ -108,15 +107,9 @@ class AnalysisCache {
   [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units = {},
                                 std::span<const Frac> device_speedup = {});
 
-  /// Same bound from a full Platform (must support the DAG's device ids;
-  /// honours device_units and device_speedup).
-  [[nodiscard]] Frac r_platform(const model::Platform& platform);
-
-  /// Assembles the full HetAnalysis record (identical field-for-field to
-  /// analyze_heterogeneous, which delegates here).  On an lvalue cache the
-  /// cached transform is copied into the result; a single-shot rvalue cache
-  /// moves it out instead, so `AnalysisCache(dag).analyze(m)` pays no copy.
-  [[nodiscard]] HetAnalysis analyze(int m) &;
+  /// Assembles the full HetAnalysis record (analyze_heterogeneous delegates
+  /// here).  Single-shot: the cached transform is moved into the result, so
+  /// `AnalysisCache(dag).analyze(m)` pays no copy.
   [[nodiscard]] HetAnalysis analyze(int m) &&;
 
  private:
@@ -133,9 +126,6 @@ class AnalysisCache {
   std::optional<PlatformQuantities> platform_quantities_;
   std::optional<graph::Time> len_original_;
   std::optional<graph::Time> vol_original_;
-
-  /// analyze() minus the transform field, shared by both overloads.
-  [[nodiscard]] HetAnalysis assemble(int m);
 };
 
 }  // namespace hedra::analysis

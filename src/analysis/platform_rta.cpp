@@ -257,10 +257,6 @@ Frac rta_platform(const graph::Dag& dag, const model::Platform& platform) {
   return analyze_platform(dag, platform).bound;
 }
 
-Frac rta_platform(const graph::Dag& dag, int m) {
-  return rta_platform(dag, model::platform_for(dag, m));
-}
-
 std::string explain(const PlatformAnalysis& analysis) {
   std::ostringstream os;
   const int m = analysis.m;

@@ -151,11 +151,6 @@ struct ChainWeighting {
 [[nodiscard]] Frac rta_platform(const graph::Dag& dag,
                                 const model::Platform& platform);
 
-/// Convenience: infers the smallest supporting platform (one single-unit
-/// class per device id present in the DAG) and evaluates the bound on m
-/// host cores.
-[[nodiscard]] Frac rta_platform(const graph::Dag& dag, int m);
-
 /// max over source-to-sink paths P of Σ_{v∈P, host} C_v — the bound's
 /// self-interference chain (m-independent).  Accelerator nodes weigh 0 but
 /// still extend paths.

@@ -55,8 +55,9 @@ struct HetAnalysis {
 };
 
 /// The m-independent measurements Theorem 1 consumes: one pass over G',
-/// G_par and v_off.  Classification and evaluation are pure arithmetic on
-/// these, so a multi-m sweep measures once (see analysis/analysis_cache.h).
+/// G_par and v_off (AnalysisCache::quantities).  Classification and
+/// evaluation are pure arithmetic on these, so a multi-m sweep measures once
+/// (see analysis/analysis_cache.h).
 struct TheoremQuantities {
   graph::Time len_trans = 0;  ///< len(G')
   graph::Time vol = 0;        ///< vol(G) = vol(G')
@@ -65,9 +66,6 @@ struct TheoremQuantities {
   graph::Time vol_gpar = 0;   ///< vol(G_par)
   bool voff_critical = false; ///< v_off on a critical path of G'?
 };
-
-/// Measures the quantities (the only graph walks of the analysis).
-[[nodiscard]] TheoremQuantities measure(const TransformResult& transform);
 
 /// R_hom(G_par) from the measured quantities (Eq. 1 arithmetic).
 [[nodiscard]] Frac r_hom_gpar(const TheoremQuantities& q, int m);
@@ -79,20 +77,9 @@ struct TheoremQuantities {
 [[nodiscard]] Frac evaluate(const TheoremQuantities& q, Scenario scenario,
                             int m);
 
-/// Applies Theorem 1 to an already-transformed DAG.
-[[nodiscard]] Frac rta_heterogeneous(const TransformResult& transform, int m);
-
-/// Classifies the scenario for an already-transformed DAG.
-[[nodiscard]] Scenario classify_scenario(const TransformResult& transform,
-                                         int m);
-
 /// One-call pipeline: validate, transform (Algorithm 1), classify, and
 /// evaluate both R_het (Theorem 1) and the R_hom baseline.
 [[nodiscard]] HetAnalysis analyze_heterogeneous(const Dag& dag, int m);
-
-/// min(R_hom(τ), R_het(τ')): a system integrator can always choose *not* to
-/// transform, so the better of the two bounds is itself a sound bound.
-[[nodiscard]] Frac best_bound(const Dag& dag, int m);
 
 /// Human-readable, term-by-term derivation of an analysis result: the
 /// measured DAG quantities, the scenario decision, the equation applied and

@@ -7,7 +7,6 @@
 
 #include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
-#include "model/platform.h"
 #include "model/task.h"
 
 namespace hedra::analysis {
@@ -19,8 +18,6 @@ enum class AnalysisKind {
   kBest,           ///< min of the two (both are sound)
   kPlatform,       ///< K-device chain bound R_plat (analysis/platform_rta.h)
 };
-
-[[nodiscard]] const char* to_string(AnalysisKind kind) noexcept;
 
 /// Outcome of a schedulability test.
 struct SchedulabilityReport {
@@ -46,11 +43,5 @@ struct SchedulabilityReport {
 /// model preconditions and a heterogeneous analysis is requested.
 [[nodiscard]] SchedulabilityReport check_schedulability(
     const model::DagTask& task, int m, AnalysisKind kind = AnalysisKind::kBest);
-
-/// Platform-aware test: R_plat(τ, platform) <= D, with the dominating
-/// device term reported.  The platform (cores + named multi-unit device
-/// classes) must support every placement in the task's DAG.
-[[nodiscard]] SchedulabilityReport check_schedulability(
-    const model::DagTask& task, const model::Platform& platform);
 
 }  // namespace hedra::analysis

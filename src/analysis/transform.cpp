@@ -6,16 +6,6 @@
 
 namespace hedra::analysis {
 
-std::vector<NodeId> parallel_nodes(const Dag& dag, NodeId voff) {
-  const auto pred = graph::ancestors(dag, voff);
-  const auto succ = graph::descendants(dag, voff);
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    if (v != voff && !pred.test(v) && !succ.test(v)) out.push_back(v);
-  }
-  return out;
-}
-
 TransformResult transform_for_offload(const Dag& dag) {
   graph::throw_if_invalid(dag, graph::heterogeneous_rules());
   const NodeId voff = *dag.offload_node();

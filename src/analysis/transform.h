@@ -62,8 +62,4 @@ struct TransformResult {
 /// preconditions listed above.
 [[nodiscard]] TransformResult transform_for_offload(const Dag& dag);
 
-/// Membership ids of V_par = V \ Pred(v_off) \ Succ(v_off) \ {v_off} on the
-/// original graph, without building G'.  Useful for scenario statistics.
-[[nodiscard]] std::vector<NodeId> parallel_nodes(const Dag& dag, NodeId voff);
-
 }  // namespace hedra::analysis

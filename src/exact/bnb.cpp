@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -867,33 +866,6 @@ BnbResult min_makespan(const Dag& dag, int m, const BnbConfig& config) {
   result.worker_stats.push_back(result.stats);
   flush_search_metrics(result);
   return result;
-}
-
-std::string explain_search(const BnbResult& result) {
-  std::ostringstream os;
-  os << "bnb: makespan=" << result.makespan
-     << (result.proven_optimal ? " (proven optimal)" : " (budget exhausted)")
-     << " lb=" << result.root_lower_bound
-     << " ub0=" << result.heuristic_upper_bound << "\n";
-  const SearchStats& s = result.stats;
-  os << "search: nodes=" << s.nodes << " prune_incumbent="
-     << s.prune_incumbent << " prune_bound=" << s.prune_bound
-     << " budget_polls=" << s.budget_polls << " steals=" << s.steals
-     << " splits=" << s.splits << " split_refusals=" << s.split_refusals
-     << "\n";
-  if (result.worker_stats.empty()) {
-    os << "workers: none (root bound closed the gap before any search)\n";
-    return os.str();
-  }
-  for (std::size_t w = 0; w < result.worker_stats.size(); ++w) {
-    const SearchStats& ws = result.worker_stats[w];
-    os << "worker " << w << ": nodes=" << ws.nodes << " prune_incumbent="
-       << ws.prune_incumbent << " prune_bound=" << ws.prune_bound
-       << " budget_polls=" << ws.budget_polls << " steals=" << ws.steals
-       << " splits=" << ws.splits << " split_refusals=" << ws.split_refusals
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace hedra::exact

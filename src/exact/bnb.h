@@ -37,7 +37,6 @@
 /// bit-identical to the historical solver and the committed goldens.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/dag.h"
@@ -103,10 +102,5 @@ struct BnbResult {
 /// share the single accelerator).
 [[nodiscard]] BnbResult min_makespan(const graph::Dag& dag, int m,
                                      const BnbConfig& config = {});
-
-/// explain()-style structured summary of a solve: the headline result,
-/// the aggregate search counters, and one line per worker — the tool for
-/// "where did the budget go" when a parallel solve is slow.
-[[nodiscard]] std::string explain_search(const BnbResult& result);
 
 }  // namespace hedra::exact

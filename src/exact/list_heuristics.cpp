@@ -1,7 +1,5 @@
 #include "exact/list_heuristics.h"
 
-#include "graph/flat_dag.h"
-
 namespace hedra::exact {
 
 HeuristicResult best_heuristic_makespan(const graph::FlatView& view, int m,
@@ -29,12 +27,6 @@ HeuristicResult best_heuristic_makespan(const graph::FlatView& view, int m,
     consider(sim::Policy::kRandom, 0x9e3779b9u + static_cast<std::uint64_t>(i));
   }
   return best;
-}
-
-HeuristicResult best_heuristic_makespan(const graph::Dag& dag, int m,
-                                        int random_tries) {
-  const graph::FlatDag flat(dag);
-  return best_heuristic_makespan(flat.view(), m, random_tries);
 }
 
 }  // namespace hedra::exact

@@ -18,14 +18,9 @@ struct HeuristicResult {
 };
 
 /// Best makespan over all policies; `random_tries` extra random orderings.
-[[nodiscard]] HeuristicResult best_heuristic_makespan(const graph::Dag& dag,
-                                                      int m,
-                                                      int random_tries = 4);
-
-/// Overload over a prebuilt CSR view — the B&B solver seeds its upper
-/// bound through this, sharing one snapshot across all policy runs (and
-/// skipping per-run trace validation; the simulator itself is pinned by the
-/// golden-trace suite).
+/// The B&B solver seeds its upper bound through this, sharing one CSR view
+/// across all policy runs (and skipping per-run trace validation; the
+/// simulator itself is pinned by the golden-trace suite).
 [[nodiscard]] HeuristicResult best_heuristic_makespan(
     const graph::FlatView& view, int m, int random_tries = 4);
 

@@ -68,10 +68,6 @@ DynamicBitset descendants(const Dag& dag, NodeId v) {
   return bfs_reach(dag, v, /*forward=*/true);
 }
 
-bool reachable(const Dag& dag, NodeId from, NodeId to) {
-  return descendants(dag, from).test(to);
-}
-
 std::vector<DynamicBitset> transitive_closure(const Dag& dag) {
   const std::size_t n = dag.num_nodes();
   const auto order = topological_order(dag);
@@ -103,10 +99,6 @@ std::vector<std::pair<NodeId, NodeId>> transitive_edges(const Dag& dag) {
     }
   }
   return out;
-}
-
-bool is_transitively_reduced(const Dag& dag) {
-  return transitive_edges(dag).empty();
 }
 
 Dag transitive_reduction(const Dag& dag) {

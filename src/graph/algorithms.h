@@ -27,18 +27,12 @@ namespace hedra::graph {
 /// All nodes reachable from `v`, excluding `v` itself — the paper's Succ(v).
 [[nodiscard]] DynamicBitset descendants(const Dag& dag, NodeId v);
 
-/// True iff `to` is reachable from `from` by a non-empty path.
-[[nodiscard]] bool reachable(const Dag& dag, NodeId from, NodeId to);
-
 /// reach[v] = set of nodes reachable from v (excluding v), for every v.
 [[nodiscard]] std::vector<DynamicBitset> transitive_closure(const Dag& dag);
 
 /// Edges (u, w) for which another u -> ... -> w path exists.
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> transitive_edges(
     const Dag& dag);
-
-/// True iff the graph has no transitive edges (the paper's model assumption).
-[[nodiscard]] bool is_transitively_reduced(const Dag& dag);
 
 /// Copy of `dag` with all transitive edges removed.  Node ids are preserved.
 [[nodiscard]] Dag transitive_reduction(const Dag& dag);

@@ -78,33 +78,4 @@ std::vector<Time> down_lengths(const FlatView& view) {
   return down;
 }
 
-std::vector<NodeId> extract_critical_path(const Dag& dag) {
-  if (dag.num_nodes() == 0) return {};
-  const CriticalPathInfo info(dag);
-  // Start from the smallest-id node that begins a critical path.
-  NodeId current = kInvalidNode;
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    if (dag.in_degree(v) == 0 && info.down(v) == info.length()) {
-      current = v;
-      break;
-    }
-  }
-  HEDRA_ASSERT(current != kInvalidNode);
-  std::vector<NodeId> path{current};
-  while (dag.out_degree(current) > 0) {
-    const Time remaining = info.down(current) - dag.wcet(current);
-    if (remaining == 0) break;  // longest continuation is empty
-    NodeId next = kInvalidNode;
-    for (const NodeId s : dag.successors(current)) {
-      if (info.down(s) == remaining && (next == kInvalidNode || s < next)) {
-        next = s;
-      }
-    }
-    HEDRA_ASSERT(next != kInvalidNode);
-    path.push_back(next);
-    current = next;
-  }
-  return path;
-}
-
 }  // namespace hedra::graph

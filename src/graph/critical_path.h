@@ -61,8 +61,4 @@ class CriticalPathInfo {
 /// used by the critical-path-first simulator policy and the B&B solver.
 [[nodiscard]] std::vector<Time> down_lengths(const FlatView& view);
 
-/// One longest path, source to sink, as a node sequence.  Deterministic
-/// (smallest-id tie-breaks).  Empty for an empty graph.
-[[nodiscard]] std::vector<NodeId> extract_critical_path(const Dag& dag);
-
 }  // namespace hedra::graph

@@ -135,18 +135,4 @@ Dag FlatDagBatch::materialize(std::size_t i) const {
   return dag;
 }
 
-void FlatDagBatch::clear() noexcept {
-  records_.clear();
-  succ_off_.clear();
-  pred_off_.clear();
-  succ_.clear();
-  pred_.clear();
-  wcet_.clear();
-  device_.clear();
-  sync_.clear();
-  topo_.clear();
-  edge_from_.clear();
-  edge_to_.clear();
-}
-
 }  // namespace hedra::graph

@@ -137,8 +137,6 @@ class FlatDagBatch {
     return device_;
   }
 
-  void clear() noexcept;
-
  private:
   struct Record {
     std::uint32_t node_off = 0;  ///< into wcet_/device_/sync_/topo_

@@ -21,13 +21,4 @@ Subgraph induced_subgraph(const Dag& dag, const DynamicBitset& members) {
   return out;
 }
 
-Subgraph induced_subgraph(const Dag& dag, const std::vector<NodeId>& members) {
-  DynamicBitset bits(dag.num_nodes());
-  for (const NodeId v : members) {
-    HEDRA_REQUIRE(v < dag.num_nodes(), "subgraph member id out of range");
-    bits.set(v);
-  }
-  return induced_subgraph(dag, bits);
-}
-
 }  // namespace hedra::graph

@@ -27,8 +27,4 @@ struct Subgraph {
 [[nodiscard]] Subgraph induced_subgraph(const Dag& dag,
                                         const DynamicBitset& members);
 
-/// Convenience overload taking an id list.
-[[nodiscard]] Subgraph induced_subgraph(const Dag& dag,
-                                        const std::vector<NodeId>& members);
-
 }  // namespace hedra::graph

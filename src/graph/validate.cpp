@@ -75,12 +75,6 @@ void throw_if_invalid(const Dag& dag, const ValidationRules& rules) {
   throw Error(os.str());
 }
 
-ValidationRules homogeneous_rules() {
-  ValidationRules rules;
-  rules.required_offload_count = 0;
-  return rules;
-}
-
 ValidationRules heterogeneous_rules() {
   ValidationRules rules;
   rules.required_offload_count = 1;

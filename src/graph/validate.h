@@ -37,9 +37,6 @@ struct ValidationRules {
 /// Throws hedra::Error listing all violations, if any.
 void throw_if_invalid(const Dag& dag, const ValidationRules& rules);
 
-/// Rules for a plain homogeneous DAG (no offload node expected).
-[[nodiscard]] ValidationRules homogeneous_rules();
-
 /// Rules for the paper's heterogeneous model (exactly one offload node).
 [[nodiscard]] ValidationRules heterogeneous_rules();
 

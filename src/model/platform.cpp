@@ -53,21 +53,6 @@ bool Platform::has_speedups() const noexcept {
                      [](const Frac& s) { return s != Frac(1); });
 }
 
-Platform Platform::homogeneous(int cores) {
-  Platform platform;
-  platform.cores = cores;
-  platform.validate();
-  return platform;
-}
-
-Platform Platform::single_accelerator(int cores, std::string name) {
-  Platform platform;
-  platform.cores = cores;
-  platform.device_names.push_back(std::move(name));
-  platform.validate();
-  return platform;
-}
-
 Platform Platform::symmetric(int cores, int num_devices, int units) {
   HEDRA_REQUIRE(num_devices >= 0, "device count must be non-negative");
   HEDRA_REQUIRE(units >= 1, "every device class needs >= 1 execution unit");
@@ -215,16 +200,6 @@ void Platform::validate() const {
   }
 }
 
-bool operator==(const Platform& a, const Platform& b) {
-  if (a.cores != b.cores || a.device_names != b.device_names) return false;
-  for (std::size_t i = 0; i < a.device_names.size(); ++i) {
-    const auto device = static_cast<graph::DeviceId>(i + 1);
-    if (a.units_of(device) != b.units_of(device)) return false;
-    if (a.speedup_of(device) != b.speedup_of(device)) return false;
-  }
-  return true;
-}
-
 std::vector<std::string> check_supports(const Platform& platform,
                                         const graph::Dag& dag) {
   std::vector<std::string> issues;
@@ -239,10 +214,6 @@ std::vector<std::string> check_supports(const Platform& platform,
     }
   }
   return issues;
-}
-
-bool supports(const Platform& platform, const graph::Dag& dag) {
-  return check_supports(platform, dag).empty();
 }
 
 Platform platform_for(const graph::Dag& dag, int cores) {

@@ -13,7 +13,7 @@
 /// accelerator class (see graph::DeviceId).
 ///
 /// A Platform is pure data; compatibility with a concrete DAG (every node
-/// placed on an existing device) is checked by check_supports / supports.
+/// placed on an existing device) is checked by check_supports.
 /// The spec syntax is "m:name1,name2,..." with an optional "*units" suffix
 /// per class — "4:gpu*2,dsp" is 4 host cores, a 2-unit GPU class and a
 /// single-unit DSP — so every pre-multiplicity spec round-trips unchanged.
@@ -71,13 +71,6 @@ struct Platform {
   /// True iff some device class has a speedup factor different from 1.
   [[nodiscard]] bool has_speedups() const noexcept;
 
-  /// Host-only platform (the homogeneous baseline).
-  [[nodiscard]] static Platform homogeneous(int cores);
-
-  /// The paper's platform: m cores + one single-unit accelerator.
-  [[nodiscard]] static Platform single_accelerator(int cores,
-                                                   std::string name = "acc");
-
   /// m cores + K accelerators named "acc1".."accK", `units` execution units
   /// each (default 1, the pre-multiplicity shape).
   [[nodiscard]] static Platform symmetric(int cores, int num_devices,
@@ -114,19 +107,12 @@ struct Platform {
   /// device_speedup is neither empty nor one strictly positive entry per
   /// class.
   void validate() const;
-
-  /// Same platform shape (units compared via units_of, so an empty
-  /// device_units equals an explicit all-ones vector).
-  friend bool operator==(const Platform& a, const Platform& b);
 };
 
 /// Human-readable placement violations of `dag` on `platform` (nodes placed
 /// on devices the platform does not provide); empty means compatible.
 [[nodiscard]] std::vector<std::string> check_supports(const Platform& platform,
                                                       const graph::Dag& dag);
-
-/// True iff every node of `dag` is placed on a device `platform` provides.
-[[nodiscard]] bool supports(const Platform& platform, const graph::Dag& dag);
 
 /// Smallest platform accommodating `dag`: m host cores plus one single-unit
 /// device class per accelerator id in [1, max_device], named "acc<d>".

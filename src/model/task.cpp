@@ -36,10 +36,6 @@ DagTask::DagTask(std::shared_ptr<const graph::FlatDagBatch> batch,
   check_timing(period_, deadline_);
 }
 
-DagTask DagTask::implicit(Dag dag, Time period, std::string name) {
-  return DagTask(std::move(dag), period, period, std::move(name));
-}
-
 const Dag& DagTask::dag() const {
   if (!dag_) {
     dag_ = std::make_shared<const Dag>(batch_->materialize(batch_index_));
@@ -51,15 +47,6 @@ graph::FlatView DagTask::flat_view() const {
   HEDRA_REQUIRE(batch_ != nullptr,
                 "flat_view() requires an arena-backed task");
   return batch_->view(batch_index_);
-}
-
-Frac DagTask::utilization() const {
-  if (batch_ != nullptr) {
-    Time volume = 0;
-    for (const Time c : flat_view().wcets()) volume += c;
-    return Frac(volume, period_);
-  }
-  return Frac(dag_->volume(), period_);
 }
 
 }  // namespace hedra::model

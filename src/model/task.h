@@ -11,7 +11,6 @@
 
 #include "graph/dag.h"
 #include "graph/flat_batch.h"
-#include "util/fraction.h"
 
 namespace hedra::model {
 
@@ -44,9 +43,6 @@ class DagTask {
   DagTask(std::shared_ptr<const graph::FlatDagBatch> batch, std::size_t index,
           Time period, Time deadline, std::string name = "tau");
 
-  /// Implicit-deadline convenience (D = T).
-  static DagTask implicit(Dag dag, Time period, std::string name = "tau");
-
   /// The task graph.  Arena-backed tasks materialise it on first call
   /// (field-identical to the record: same wcets, devices, labels and edge
   /// order).  Not thread-safe across concurrent first calls on the SAME
@@ -64,9 +60,6 @@ class DagTask {
   [[nodiscard]] Time period() const noexcept { return period_; }
   [[nodiscard]] Time deadline() const noexcept { return deadline_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
-  /// vol(G) / T — the task's utilisation (host + accelerator workload).
-  [[nodiscard]] Frac utilization() const;
 
  private:
   /// Present for eager tasks; lazily filled for arena-backed ones.  Shared

@@ -501,12 +501,6 @@ ScheduleTrace simulate_with_times(const graph::FlatView& view,
   return run_traced(view, config, &actual_times);
 }
 
-ScheduleTrace simulate_with_times(const Dag& dag, const SimConfig& config,
-                                  const std::vector<Time>& actual_times) {
-  const graph::FlatDag flat(dag);  // throws on cyclic input
-  return simulate_with_times(flat.view(), config, actual_times);
-}
-
 std::vector<Time> random_actual_times(const Dag& dag, double scale_min,
                                       Rng& rng) {
   HEDRA_REQUIRE(scale_min >= 0.0 && scale_min <= 1.0,

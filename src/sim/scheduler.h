@@ -128,9 +128,6 @@ struct SimConfig {
 /// bounds — computed from WCETs — dominate every early-completion execution
 /// as well.  Throws if any actual time is negative or exceeds the WCET.
 [[nodiscard]] ScheduleTrace simulate_with_times(
-    const Dag& dag, const SimConfig& config,
-    const std::vector<Time>& actual_times);
-[[nodiscard]] ScheduleTrace simulate_with_times(
     const graph::FlatView& view, const SimConfig& config,
     const std::vector<Time>& actual_times);
 

@@ -40,26 +40,6 @@ const Interval& ScheduleTrace::interval_of(NodeId node) const {
   throw Error("node " + dag_->label(node) + " has no interval in the trace");
 }
 
-Time ScheduleTrace::busy_time(int unit) const noexcept {
-  Time total = 0;
-  for (const auto& iv : intervals_) {
-    if (iv.unit == unit) total += iv.finish - iv.start;
-  }
-  return total;
-}
-
-double ScheduleTrace::utilization(int unit) const noexcept {
-  const Time span = makespan();
-  if (span == 0) return 0.0;
-  return static_cast<double>(busy_time(unit)) / static_cast<double>(span);
-}
-
-Time ScheduleTrace::host_idle_time() const noexcept {
-  Time busy = 0;
-  for (int core = 0; core < cores_; ++core) busy += busy_time(core);
-  return makespan() * cores_ - busy;
-}
-
 std::string ScheduleTrace::to_text() const {
   std::ostringstream os;
   for (const auto& iv : intervals_) {

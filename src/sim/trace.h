@@ -120,15 +120,6 @@ class ScheduleTrace {
     return interval_of(node).finish;
   }
 
-  /// Busy time of one unit (kAcceleratorUnit allowed).
-  [[nodiscard]] Time busy_time(int unit) const noexcept;
-
-  /// Fraction of [0, makespan] the unit was busy; 0 when makespan is 0.
-  [[nodiscard]] double utilization(int unit) const noexcept;
-
-  /// Total host-core idle time in [0, makespan].
-  [[nodiscard]] Time host_idle_time() const noexcept;
-
   /// Checks the trace against the DAG:
   ///  - every node appears exactly once, with duration == its WCET;
   ///  - starts respect precedence (start >= max finish over predecessors);

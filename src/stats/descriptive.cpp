@@ -38,18 +38,6 @@ double mean(const std::vector<double>& values) {
   return summarize(values).mean;
 }
 
-double percentile(std::vector<double> values, double p) {
-  HEDRA_REQUIRE(!values.empty(), "cannot take percentile of an empty sample");
-  HEDRA_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double w = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - w) + values[hi] * w;
-}
-
 double percentage_change(double a, double b) {
   HEDRA_REQUIRE(b != 0.0, "percentage change with zero reference");
   return 100.0 * (a - b) / b;

@@ -24,9 +24,6 @@ struct Summary {
 
 [[nodiscard]] double mean(const std::vector<double>& values);
 
-/// Linear-interpolation percentile, p in [0, 100].
-[[nodiscard]] double percentile(std::vector<double> values, double p);
-
 /// The paper's §5.2 footnote: "the percentage change computes the relative
 /// change of two values": 100 · (a − b) / b.  Throws if b == 0.
 [[nodiscard]] double percentage_change(double a, double b);

@@ -176,17 +176,4 @@ struct PriorAnalysis {
     const TaskSet& set, const PriorAnalysis* prior, AnalysisMemo* memo,
     util::Budget* budget = nullptr);
 
-/// Human-readable verdict: per-task allocation and bound vs deadline, and —
-/// for the tightest task — the dominating (competitor task, device) pair,
-/// i.e. the contention edge to relieve first when the set is rejected.
-[[nodiscard]] std::string explain(const ContentionAnalysis& analysis,
-                                  const TaskSet& set);
-
-/// explain()-style summary of where the analysis spent its work: solve and
-/// iteration totals, the int-path/frac-path split, the truncation count
-/// and how many verdicts were reused.  Separate from explain() so the
-/// verdict text (golden-pinned by the tooling examples) is unchanged by the
-/// telemetry layer.
-[[nodiscard]] std::string explain_fixpoint(const ContentionAnalysis& analysis);
-
 }  // namespace hedra::taskset

@@ -1,6 +1,5 @@
 #include "taskset/taskset.h"
 
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -11,17 +10,6 @@
 namespace hedra::taskset {
 
 namespace {
-
-/// vol_d(G) without forcing arena-backed tasks to materialise a Dag.
-graph::Time task_volume_on(const DagTask& task, graph::DeviceId device) {
-  if (!task.has_flat_view()) return task.dag().volume_on(device);
-  const graph::FlatView view = task.flat_view();
-  graph::Time volume = 0;
-  for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
-    if (view.device(v) == device) volume += view.wcet(v);
-  }
-  return volume;
-}
 
 void check_name(const DagTask& task) {
   HEDRA_REQUIRE(!task.name().empty(), "task names must be non-empty");
@@ -80,31 +68,6 @@ TaskSet TaskSet::without(std::size_t index) const {
   tasks.insert(tasks.end(), tasks_.begin(), cut);
   tasks.insert(tasks.end(), cut + 1, tasks_.end());
   return TaskSet(platform_, std::move(tasks));
-}
-
-Frac TaskSet::task_device_utilization(std::size_t i,
-                                      graph::DeviceId device) const {
-  HEDRA_REQUIRE(i < tasks_.size(), "task index out of range");
-  return Frac(task_volume_on(tasks_[i], device), tasks_[i].period());
-}
-
-// hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-double TaskSet::device_utilization(graph::DeviceId device) const {
-  double total = 0.0;  // hedra-lint: allow(float-in-bound, reporting aggregate)
-  for (const DagTask& task : tasks_) {
-    // hedra-lint: allow(float-in-bound, reporting aggregate)
-    total += static_cast<double>(task_volume_on(task, device)) /
-             // hedra-lint: allow(float-in-bound, reporting aggregate)
-             static_cast<double>(task.period());
-  }
-  return total;
-}
-
-// hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-double TaskSet::total_utilization() const {
-  double total = 0.0;  // hedra-lint: allow(float-in-bound, reporting aggregate)
-  for (const DagTask& task : tasks_) total += task.utilization().to_double();
-  return total;
 }
 
 std::string TaskSet::to_text() const {
@@ -201,21 +164,6 @@ TaskSet TaskSet::from_text(const std::string& text) {
   HEDRA_REQUIRE(have_platform, "taskset text has no platform directive");
   set.validate();
   return set;
-}
-
-void save_taskset_file(const TaskSet& set, const std::string& path) {
-  std::ofstream out(path);
-  HEDRA_REQUIRE(out.good(), "cannot open file for writing: " + path);
-  out << set.to_text();
-  HEDRA_REQUIRE(out.good(), "failed writing taskset file: " + path);
-}
-
-TaskSet load_taskset_file(const std::string& path) {
-  std::ifstream in(path);
-  HEDRA_REQUIRE(in.good(), "cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return TaskSet::from_text(buffer.str());
 }
 
 }  // namespace hedra::taskset

@@ -13,9 +13,7 @@
 /// (taskset/gen.h) and simulator (taskset/sim.h) all operate on.
 ///
 /// A taskset::TaskSet knows its platform: validation checks every task's
-/// device placements against it, and the per-device utilisation accessors
-/// expose how loaded each shared accelerator class is — the quantity the
-/// contention analysis inflates per-task bounds with.
+/// device placements against it.
 ///
 /// The text round-trip format mirrors graph/dag_io.h, one directive per
 /// line with '#' comments:
@@ -37,7 +35,6 @@
 
 #include "model/platform.h"
 #include "model/task.h"
-#include "util/fraction.h"
 
 namespace hedra::taskset {
 
@@ -89,23 +86,6 @@ class TaskSet {
   /// A copy without task `index`; later tasks move up one place.
   [[nodiscard]] TaskSet without(std::size_t index) const;
 
-  /// vol_d(G_i) / T_i — task i's exact utilisation of accelerator class d
-  /// (d = 0 selects the host).  Device-TIME ticks; divide by n_d for a
-  /// per-unit load.
-  [[nodiscard]] Frac task_device_utilization(std::size_t i,
-                                             graph::DeviceId device) const;
-
-  /// Σ_i vol_d(G_i)/T_i across tasks (double: periods from
-  /// utilisation-driven generators are large and mutually coprime, so the
-  /// exact rational sum can overflow 64-bit numerators; per-task
-  /// utilisations stay exact).
-  // hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-  [[nodiscard]] double device_utilization(graph::DeviceId device) const;
-
-  /// Σ_i vol(G_i)/T_i — host and accelerator workload combined.
-  // hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-  [[nodiscard]] double total_utilization() const;
-
   /// Serialises the set; round-trips through from_text.  Calls validate().
   [[nodiscard]] std::string to_text() const;
 
@@ -124,9 +104,5 @@ class TaskSet {
   Platform platform_;
   std::vector<DagTask> tasks_;
 };
-
-/// File convenience wrappers.
-void save_taskset_file(const TaskSet& set, const std::string& path);
-[[nodiscard]] TaskSet load_taskset_file(const std::string& path);
 
 }  // namespace hedra::taskset

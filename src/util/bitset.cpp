@@ -23,12 +23,6 @@ DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& rhs) {
   return *this;
 }
 
-DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& rhs) {
-  HEDRA_REQUIRE(size_ == rhs.size_, "bitset size mismatch in operator&=");
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= rhs.words_[i];
-  return *this;
-}
-
 std::vector<std::size_t> DynamicBitset::to_indices() const {
   std::vector<std::size_t> out;
   out.reserve(count());

@@ -65,9 +65,6 @@ class DynamicBitset {
   /// In-place union; sizes must match.
   DynamicBitset& operator|=(const DynamicBitset& rhs);
 
-  /// In-place intersection; sizes must match.
-  DynamicBitset& operator&=(const DynamicBitset& rhs);
-
   friend bool operator==(const DynamicBitset& a,
                          const DynamicBitset& b) noexcept = default;
 

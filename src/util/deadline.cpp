@@ -8,18 +8,6 @@ std::int64_t monotonic_now_ns() noexcept {
       .count();
 }
 
-const char* to_string(Outcome outcome) noexcept {
-  switch (outcome) {
-    case Outcome::kComplete:
-      return "complete";
-    case Outcome::kBudgetExhausted:
-      return "budget-exhausted";
-    case Outcome::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
 Deadline Deadline::after(std::chrono::nanoseconds budget) {
   Deadline d;
   d.unlimited_ = false;
@@ -30,25 +18,6 @@ Deadline Deadline::after(std::chrono::nanoseconds budget) {
 Deadline Deadline::after_seconds(double seconds) {
   return after(std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(seconds)));
-}
-
-Deadline Deadline::at(Clock::time_point when) noexcept {
-  Deadline d;
-  d.unlimited_ = false;
-  d.when_ = when;
-  return d;
-}
-
-Deadline::Clock::duration Deadline::remaining() const noexcept {
-  if (unlimited_) return Clock::duration::max();
-  const auto now = Clock::now();
-  return now >= when_ ? Clock::duration::zero() : when_ - now;
-}
-
-Deadline Deadline::sooner(const Deadline& a, const Deadline& b) {
-  if (a.unlimited()) return b;
-  if (b.unlimited()) return a;
-  return a.when_ <= b.when_ ? a : b;
 }
 
 bool Budget::consume(std::uint64_t units) noexcept {
@@ -71,15 +40,6 @@ bool Budget::consume(std::uint64_t units) noexcept {
     }
   }
   return true;
-}
-
-bool Budget::check_now() noexcept {
-  if (exhausted_.load(std::memory_order_relaxed)) return true;
-  if (deadline_.expired()) {
-    exhausted_.store(true, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace hedra::util

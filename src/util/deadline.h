@@ -53,9 +53,6 @@ enum class Outcome {
   kFailed = 2,           ///< no usable result (fault, corruption)
 };
 
-/// Short stable name ("complete" / "budget-exhausted" / "failed").
-[[nodiscard]] const char* to_string(Outcome outcome) noexcept;
-
 /// A point on the monotonic clock before which work must finish.  The
 /// default-constructed Deadline never expires, so APIs can take one by
 /// value with no "optional" wrapper.
@@ -72,9 +69,6 @@ class Deadline {
   /// Convenience: after() in fractional seconds.
   [[nodiscard]] static Deadline after_seconds(double seconds);
 
-  /// Expires at `when`.
-  [[nodiscard]] static Deadline at(Clock::time_point when) noexcept;
-
   /// The unlimited default, spelled out.
   [[nodiscard]] static constexpr Deadline never() noexcept { return {}; }
 
@@ -85,14 +79,8 @@ class Deadline {
     return !unlimited_ && Clock::now() >= when_;
   }
 
-  /// Time left; zero when expired, Clock::duration::max() when unlimited.
-  [[nodiscard]] Clock::duration remaining() const noexcept;
-
   /// The expiry instant; requires !unlimited().
   [[nodiscard]] Clock::time_point when() const noexcept { return when_; }
-
-  /// The earlier of two deadlines (unlimited is the identity).
-  [[nodiscard]] static Deadline sooner(const Deadline& a, const Deadline& b);
 
  private:
   Clock::time_point when_{};
@@ -133,10 +121,6 @@ class Budget {
   [[nodiscard]] bool exhausted() const noexcept {
     return exhausted_.load(std::memory_order_relaxed);
   }
-
-  /// Like exhausted(), but also polls the deadline right now — the check to
-  /// run before committing to an expensive non-interruptible step.
-  [[nodiscard]] bool check_now() noexcept;
 
   /// Marks the budget exhausted (e.g. an outer layer cancelling work).
   void force_exhaust() noexcept {

@@ -96,11 +96,6 @@ std::int64_t Frac::floor() const noexcept {
   return (num_ % den_ != 0 && num_ < 0) ? q - 1 : q;
 }
 
-std::int64_t Frac::ceil() const noexcept {
-  const std::int64_t q = num_ / den_;
-  return (num_ % den_ != 0 && num_ > 0) ? q + 1 : q;
-}
-
 std::string Frac::to_string() const {
   if (is_integer()) return std::to_string(num_);
   return std::to_string(num_) + "/" + std::to_string(den_);
@@ -127,8 +122,6 @@ Frac& Frac::operator+=(const Frac& rhs) {
 Frac& Frac::operator-=(const Frac& rhs) {
   return *this += Frac(checked_negate(rhs.num_), rhs.den_);
 }
-
-Frac operator-(const Frac& f) { return Frac(checked_negate(f.num_), f.den_); }
 
 Frac& Frac::operator*=(const Frac& rhs) {
   // Cross-reduce first to keep intermediates small.  gcd runs on unsigned

@@ -49,9 +49,6 @@ class Frac {
   /// Largest integer <= value.
   [[nodiscard]] std::int64_t floor() const noexcept;
 
-  /// Smallest integer >= value.
-  [[nodiscard]] std::int64_t ceil() const noexcept;
-
   /// "7/2" or "3" when integral.
   [[nodiscard]] std::string to_string() const;
 
@@ -64,8 +61,6 @@ class Frac {
   friend Frac operator-(Frac lhs, const Frac& rhs) { return lhs -= rhs; }
   friend Frac operator*(Frac lhs, const Frac& rhs) { return lhs *= rhs; }
   friend Frac operator/(Frac lhs, const Frac& rhs) { return lhs /= rhs; }
-  /// Negation throws on the one unrepresentable case (num == INT64_MIN).
-  friend Frac operator-(const Frac& f);
 
   friend bool operator==(const Frac& a, const Frac& b) noexcept {
     return a.num_ == b.num_ && a.den_ == b.den_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/fixtures.h"
+#include "common/theorem1_reference.h"
 #include "exp/experiment.h"
 #include "graph/algorithms.h"
 
@@ -36,20 +37,21 @@ TEST(AnalysisCacheTest, MatchesDirectApiAcrossCoreCounts) {
   config.seed = 77;
   for (const auto& dag : exp::generate_batch(config)) {
     AnalysisCache cache(dag);
-    const TransformResult direct_transform = transform_for_offload(dag);
+    const TheoremQuantities q =
+        testing::theorem1_quantities(transform_for_offload(dag));
     for (const int m : {1, 2, 4, 8, 16}) {
-      EXPECT_EQ(cache.r_het(m), rta_heterogeneous(direct_transform, m));
-      EXPECT_EQ(cache.scenario(m), classify_scenario(direct_transform, m));
+      EXPECT_EQ(cache.r_het(m), evaluate(q, classify(q, m), m));
+      EXPECT_EQ(cache.scenario(m), classify(q, m));
       EXPECT_EQ(cache.r_hom(m), rta_homogeneous(dag, m));
-      const HetAnalysis full = cache.analyze(m);
+      // One cache serving every m agrees with a fresh one per m.
       const HetAnalysis direct = analyze_heterogeneous(dag, m);
-      EXPECT_EQ(full.r_het, direct.r_het);
-      EXPECT_EQ(full.r_hom, direct.r_hom);
-      EXPECT_EQ(full.r_hom_gpar, direct.r_hom_gpar);
-      EXPECT_EQ(full.scenario, direct.scenario);
-      EXPECT_EQ(full.len_transformed, direct.len_transformed);
-      EXPECT_EQ(full.len_gpar, direct.len_gpar);
-      EXPECT_EQ(full.vol_gpar, direct.vol_gpar);
+      EXPECT_EQ(cache.r_het(m), direct.r_het);
+      EXPECT_EQ(cache.r_hom(m), direct.r_hom);
+      EXPECT_EQ(cache.r_hom_gpar(m), direct.r_hom_gpar);
+      EXPECT_EQ(cache.scenario(m), direct.scenario);
+      EXPECT_EQ(cache.len_transformed(), direct.len_transformed);
+      EXPECT_EQ(cache.quantities().len_gpar, direct.len_gpar);
+      EXPECT_EQ(cache.quantities().vol_gpar, direct.vol_gpar);
     }
   }
 }

@@ -63,13 +63,6 @@ TEST(SchedulabilityTest, ExactDeadlineBoundaryIsSchedulable) {
   EXPECT_EQ(report.deadline, 12);
 }
 
-TEST(SchedulabilityTest, KindNamesRender) {
-  EXPECT_STREQ(to_string(AnalysisKind::kHomogeneous), "homogeneous");
-  EXPECT_STREQ(to_string(AnalysisKind::kHeterogeneous), "heterogeneous");
-  EXPECT_STREQ(to_string(AnalysisKind::kBest), "best");
-  EXPECT_STREQ(to_string(AnalysisKind::kPlatform), "platform");
-}
-
 TEST(SchedulabilityTest, PlatformKindUsesTheChainBound) {
   // multi_device_example: R_plat = 28 for every m (host chain dominates).
   const auto ex = testing::multi_device_example();
@@ -99,33 +92,6 @@ TEST(SchedulabilityTest, PlatformKindAtKOneEqualsTheHeterogeneousPathBound) {
     EXPECT_EQ(report.dominating_device, 1);
     EXPECT_EQ(report.dominating_device_term, Frac(4));  // C_off = 4
   }
-}
-
-TEST(SchedulabilityTest, PlatformOverloadReportsMultiUnitBounds) {
-  // With two gpu units the example's bound drops from 28 to 25 (m >= 2):
-  // 17/m + (6/2 + 5) + max(17, 9 + 3·m/(m−1))·(m−1)/m.
-  const auto ex = testing::multi_device_example();
-  const model::DagTask task(ex.dag, 30, 25);
-  const auto platform = model::Platform::parse("4:gpu*2,dsp");
-  const auto report = check_schedulability(task, platform);
-  EXPECT_EQ(report.kind, AnalysisKind::kPlatform);
-  EXPECT_EQ(report.bound, Frac(25));
-  EXPECT_TRUE(report.schedulable);
-  // Splitting the gpu over two units hands dominance to the dsp class.
-  EXPECT_EQ(report.dominating_device, 2);
-  EXPECT_EQ(report.dominating_device_term, Frac(5));
-
-  EXPECT_FALSE(check_schedulability(task, model::Platform::parse("4:gpu,dsp"))
-                   .schedulable)
-      << "single-unit bound is 28 > 25";
-}
-
-TEST(SchedulabilityTest, PlatformOverloadRejectsUnsupportedPlacements) {
-  const auto ex = testing::multi_device_example();
-  const model::DagTask task(ex.dag, 30, 30);
-  EXPECT_THROW(
-      (void)check_schedulability(task, model::Platform::parse("4:gpu")),
-      Error);
 }
 
 TEST(SchedulabilityTest, HomogeneousTaskHasNoDominatingDevice) {

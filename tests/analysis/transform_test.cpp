@@ -228,14 +228,6 @@ TEST(TransformTest, RejectsTransitiveEdges) {
   EXPECT_THROW(transform_for_offload(ex.dag), Error);
 }
 
-TEST(TransformTest, ParallelNodesHelper) {
-  const auto ex = testing::paper_example();
-  EXPECT_EQ(parallel_nodes(ex.dag, ex.voff),
-            (std::vector<NodeId>{ex.v2, ex.v3}));
-  const auto f3 = testing::fig3_example();
-  EXPECT_EQ(parallel_nodes(f3.dag, f3.id("vOff")).size(), 6u);
-}
-
 TEST(TransformTest, InputGraphIsNotMutated) {
   const auto ex = testing::paper_example();
   const auto edges_before = ex.dag.edges();

@@ -7,7 +7,8 @@
 /// n tasks in every fixpoint iteration.  The library's engine must produce
 /// the same ContentionAnalysis (verdicts, bounds, iteration counts,
 /// dominant competitors) whatever prior state it reuses, so the tests
-/// compare explain() of the two byte for byte.
+/// compare testing::explain() (common/contention_text.h) of the two byte
+/// for byte.
 ///
 /// Unlimited budget, no fault seams and no metric flushes: the oracle is a
 /// referee, so nothing may cut it short or perturb it.  Its telemetry

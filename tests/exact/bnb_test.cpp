@@ -4,6 +4,7 @@
 
 #include "common/brute_force.h"
 #include "common/fixtures.h"
+#include "graph/flat_dag.h"
 #include "common/legacy_gen.h"
 #include "exact/bounds.h"
 #include "exact/list_heuristics.h"
@@ -56,8 +57,9 @@ TEST(BnbTest, SandwichedByBoundAndHeuristic) {
       const BnbResult result = min_makespan(dag, m);
       EXPECT_GE(result.makespan, result.root_lower_bound);
       EXPECT_LE(result.makespan, result.heuristic_upper_bound);
+      const graph::FlatDag flat(dag);
       EXPECT_GE(result.heuristic_upper_bound,
-                best_heuristic_makespan(dag, m).makespan);
+                best_heuristic_makespan(flat.view(), m).makespan);
     }
   }
 }

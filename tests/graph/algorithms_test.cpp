@@ -63,10 +63,10 @@ TEST(ReachabilityTest, SelfIsExcluded) {
 
 TEST(ReachabilityTest, ReachableQueries) {
   const auto ex = testing::paper_example();
-  EXPECT_TRUE(reachable(ex.dag, ex.v1, ex.v5));
-  EXPECT_TRUE(reachable(ex.dag, ex.v4, ex.voff));
-  EXPECT_FALSE(reachable(ex.dag, ex.v2, ex.v3));
-  EXPECT_FALSE(reachable(ex.dag, ex.v5, ex.v1));
+  EXPECT_TRUE(descendants(ex.dag, ex.v1).test(ex.v5));
+  EXPECT_TRUE(descendants(ex.dag, ex.v4).test(ex.voff));
+  EXPECT_FALSE(descendants(ex.dag, ex.v2).test(ex.v3));
+  EXPECT_FALSE(descendants(ex.dag, ex.v5).test(ex.v1));
 }
 
 TEST(TransitiveClosureTest, MatchesPairwiseReachability) {
@@ -75,7 +75,7 @@ TEST(TransitiveClosureTest, MatchesPairwiseReachability) {
   for (NodeId u = 0; u < ex.dag.num_nodes(); ++u) {
     for (NodeId w = 0; w < ex.dag.num_nodes(); ++w) {
       if (u == w) continue;
-      EXPECT_EQ(reach[u].test(w), reachable(ex.dag, u, w))
+      EXPECT_EQ(reach[u].test(w), descendants(ex.dag, u).test(w))
           << ex.dag.label(u) << " -> " << ex.dag.label(w);
     }
   }
@@ -84,7 +84,6 @@ TEST(TransitiveClosureTest, MatchesPairwiseReachability) {
 TEST(TransitiveEdgesTest, CleanGraphHasNone) {
   const auto ex = testing::paper_example();
   EXPECT_TRUE(transitive_edges(ex.dag).empty());
-  EXPECT_TRUE(is_transitively_reduced(ex.dag));
 }
 
 TEST(TransitiveEdgesTest, DetectsShortcut) {
@@ -93,7 +92,6 @@ TEST(TransitiveEdgesTest, DetectsShortcut) {
   const auto edges = transitive_edges(dag);
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges.front(), std::make_pair(NodeId{0}, NodeId{2}));
-  EXPECT_FALSE(is_transitively_reduced(dag));
 }
 
 TEST(TransitiveReductionTest, RemovesOnlyRedundantEdges) {
@@ -104,12 +102,12 @@ TEST(TransitiveReductionTest, RemovesOnlyRedundantEdges) {
   const Dag reduced = transitive_reduction(dag);
   EXPECT_EQ(reduced.num_nodes(), dag.num_nodes());
   EXPECT_EQ(reduced.num_edges(), 3u);  // only the chain remains
-  EXPECT_TRUE(is_transitively_reduced(reduced));
+  EXPECT_TRUE(transitive_edges(reduced).empty());
   // Reachability is preserved.
   for (NodeId u = 0; u < dag.num_nodes(); ++u) {
     for (NodeId w = 0; w < dag.num_nodes(); ++w) {
       if (u == w) continue;
-      EXPECT_EQ(reachable(dag, u, w), reachable(reduced, u, w));
+      EXPECT_EQ(descendants(dag, u).test(w), descendants(reduced, u).test(w));
     }
   }
 }
@@ -132,11 +130,11 @@ TEST(TransitiveReductionTest, RandomDenseGraphs) {
     const std::size_t redundant = transitive_edges(dag).size();
     const Dag reduced = transitive_reduction(dag);
     EXPECT_EQ(reduced.num_edges(), dag.num_edges() - redundant);
-    EXPECT_TRUE(is_transitively_reduced(reduced));
+    EXPECT_TRUE(transitive_edges(reduced).empty());
     for (NodeId u = 0; u < dag.num_nodes(); ++u) {
       for (NodeId w = 0; w < dag.num_nodes(); ++w) {
         if (u == w) continue;
-        ASSERT_EQ(reachable(dag, u, w), reachable(reduced, u, w))
+        ASSERT_EQ(descendants(dag, u).test(w), descendants(reduced, u).test(w))
             << "round " << round << ": " << u << " -> " << w;
       }
     }

@@ -8,6 +8,13 @@
 namespace hedra::graph {
 namespace {
 
+/// Rules for a plain homogeneous DAG (no offload node expected).
+ValidationRules homogeneous_rules() {
+  ValidationRules rules;
+  rules.required_offload_count = 0;
+  return rules;
+}
+
 TEST(ValidateTest, PaperExampleIsValidHeterogeneous) {
   const auto ex = testing::paper_example();
   EXPECT_TRUE(is_valid(ex.dag, heterogeneous_rules()));

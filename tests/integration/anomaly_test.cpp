@@ -6,6 +6,7 @@
 #include "common/legacy_gen.h"
 #include "graph/dag_io.h"
 #include "gen/hierarchical.h"
+#include "graph/flat_dag.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -124,7 +125,8 @@ TEST(AnomalyTest, AnomaliesActuallyExist) {
   config.cores = 3;
   config.policy = sim::Policy::kDepthFirst;
   const graph::Time at_wcet = sim::simulated_makespan(dag, config);
-  const auto trace = sim::simulate_with_times(dag, config, actual);
+  const graph::FlatDag flat(dag);
+  const auto trace = sim::simulate_with_times(flat.view(), config, actual);
   EXPECT_EQ(at_wcet, 59);
   EXPECT_EQ(trace.makespan(), 60);
   EXPECT_GT(trace.makespan(), at_wcet) << "the frozen anomaly disappeared";
@@ -136,10 +138,13 @@ TEST(AnomalyTest, ActualTimesValidated) {
   const auto ex = testing::paper_example();
   sim::SimConfig config;
   config.cores = 2;
+  const graph::FlatDag flat(ex.dag);
   std::vector<graph::Time> too_long(ex.dag.num_nodes(), 100);
-  EXPECT_THROW(sim::simulate_with_times(ex.dag, config, too_long), Error);
+  EXPECT_THROW((void)sim::simulate_with_times(flat.view(), config, too_long),
+               Error);
   std::vector<graph::Time> wrong_size{1, 2};
-  EXPECT_THROW(sim::simulate_with_times(ex.dag, config, wrong_size), Error);
+  EXPECT_THROW((void)sim::simulate_with_times(flat.view(), config, wrong_size),
+               Error);
 }
 
 TEST(AnomalyTest, ZeroActualTimesCollapseSchedule) {
@@ -147,7 +152,8 @@ TEST(AnomalyTest, ZeroActualTimesCollapseSchedule) {
   sim::SimConfig config;
   config.cores = 2;
   const std::vector<graph::Time> zeros(ex.dag.num_nodes(), 0);
-  const auto trace = sim::simulate_with_times(ex.dag, config, zeros);
+  const graph::FlatDag flat(ex.dag);
+  const auto trace = sim::simulate_with_times(flat.view(), config, zeros);
   EXPECT_EQ(trace.makespan(), 0);
   EXPECT_TRUE(trace.validate_with_durations(zeros).empty());
 }

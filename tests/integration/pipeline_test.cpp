@@ -68,7 +68,8 @@ TEST(PipelineTest, SchedulabilityDecisionsRoundTrip) {
     const auto analysis = analysis::analyze_heterogeneous(dag, 4);
     // Deadline exactly at the bound: schedulable; one tick below: depends
     // on the fractional part, but one full tick below floor(bound): not.
-    const graph::Time at = analysis.r_het.ceil();
+    const graph::Time at =  // ceil(bound)
+        analysis.r_het.floor() + (analysis.r_het.is_integer() ? 0 : 1);
     const model::DagTask task(dag, at + 10, at);
     const auto report = analysis::check_schedulability(
         task, 4, analysis::AnalysisKind::kHeterogeneous);

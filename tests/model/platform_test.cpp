@@ -14,14 +14,9 @@ namespace {
 using model::Platform;
 
 TEST(PlatformTest, FactoriesDescribeTheExpectedShape) {
-  const Platform hom = Platform::homogeneous(4);
+  const Platform hom = Platform::symmetric(4, 0);
   EXPECT_EQ(hom.cores, 4);
   EXPECT_EQ(hom.num_devices(), 0);
-
-  const Platform paper = Platform::single_accelerator(2);
-  EXPECT_EQ(paper.cores, 2);
-  EXPECT_EQ(paper.num_devices(), 1);
-  EXPECT_EQ(paper.device_name(1), "acc");
 
   const Platform sym = Platform::symmetric(8, 3);
   EXPECT_EQ(sym.num_devices(), 3);
@@ -30,7 +25,7 @@ TEST(PlatformTest, FactoriesDescribeTheExpectedShape) {
 }
 
 TEST(PlatformTest, DeviceNameRejectsOutOfRangeIds) {
-  const Platform platform = Platform::single_accelerator(2, "gpu");
+  const Platform platform = Platform::parse("2:gpu");
   EXPECT_THROW((void)platform.device_name(0), Error);
   EXPECT_THROW((void)platform.device_name(2), Error);
 }
@@ -75,7 +70,7 @@ TEST(PlatformTest, ParseReadsSpeedups) {
   // Decimal factors normalise to their shortest exact spelling; the
   // default 1.0 is omitted, so pre-speedup specs round-trip unchanged.
   EXPECT_EQ(platform.spec(), "4:gpu*2@3,dsp@1.5,fpga");
-  EXPECT_EQ(Platform::parse(platform.spec()), platform);
+  EXPECT_EQ(Platform::parse(platform.spec()).spec(), platform.spec());
   EXPECT_NE(platform.describe().find("@1.5x"), std::string::npos);
 
   EXPECT_FALSE(Platform::parse("4:gpu@1").has_speedups());
@@ -158,7 +153,6 @@ TEST(PlatformTest, RandomizedPlatformsRoundTripThroughSpec) {
     platform.validate();
 
     const Platform reparsed = Platform::parse(platform.spec());
-    EXPECT_EQ(reparsed, platform) << "spec: " << platform.spec();
     EXPECT_EQ(reparsed.spec(), platform.spec());
     EXPECT_EQ(reparsed.describe(), platform.describe());
   }
@@ -179,18 +173,20 @@ TEST(PlatformTest, ValidateRejectsBadShapes) {
 
 TEST(PlatformTest, SupportsChecksDevicePlacements) {
   const auto ex = testing::multi_device_example();
-  EXPECT_TRUE(model::supports(Platform::symmetric(2, 2), ex.dag));
-  EXPECT_TRUE(model::supports(Platform::symmetric(2, 5), ex.dag));
+  for (const int devices : {2, 5}) {
+    EXPECT_TRUE(
+        model::check_supports(Platform::symmetric(2, devices), ex.dag).empty());
+  }
 
-  const Platform single = Platform::single_accelerator(2);
+  const Platform single = Platform::symmetric(2, 1);
   const auto issues = model::check_supports(single, ex.dag);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_NE(issues.front().find("dsp"), std::string::npos);
 
   // Homogeneous platforms reject any offload placement.
-  EXPECT_FALSE(model::supports(Platform::homogeneous(2), ex.dag));
-  EXPECT_TRUE(
-      model::supports(Platform::homogeneous(2), testing::chain(3, 5)));
+  const Platform hom = Platform::symmetric(2, 0);
+  EXPECT_FALSE(model::check_supports(hom, ex.dag).empty());
+  EXPECT_TRUE(model::check_supports(hom, testing::chain(3, 5)).empty());
 }
 
 TEST(PlatformTest, PlatformForInfersTheSmallestSupportingPlatform) {
@@ -198,7 +194,7 @@ TEST(PlatformTest, PlatformForInfersTheSmallestSupportingPlatform) {
   const Platform inferred = model::platform_for(ex.dag, 4);
   EXPECT_EQ(inferred.cores, 4);
   EXPECT_EQ(inferred.num_devices(), 2);
-  EXPECT_TRUE(model::supports(inferred, ex.dag));
+  EXPECT_TRUE(model::check_supports(inferred, ex.dag).empty());
 
   EXPECT_EQ(model::platform_for(testing::chain(3, 5), 2).num_devices(), 0);
 }

@@ -23,19 +23,6 @@ TEST(TaskTest, ConstrainedDeadlineEnforced) {
   EXPECT_THROW(DagTask(ex.dag, /*period=*/10, /*deadline=*/0), Error);
 }
 
-TEST(TaskTest, ImplicitDeadline) {
-  const auto ex = testing::paper_example();
-  const DagTask task = DagTask::implicit(ex.dag, 25);
-  EXPECT_EQ(task.deadline(), 25);
-  EXPECT_EQ(task.period(), 25);
-}
-
-TEST(TaskTest, UtilizationIsExact) {
-  const auto ex = testing::paper_example();  // vol = 18
-  const DagTask task(ex.dag, 36, 36);
-  EXPECT_EQ(task.utilization(), Frac(1, 2));
-}
-
 TEST(TaskTest, MutableDagAllowsCoffSweeps) {
   // A task's graph is immutable: a C_off sweep edits a copy of the graph
   // and builds a new task from it.
@@ -43,7 +30,8 @@ TEST(TaskTest, MutableDagAllowsCoffSweeps) {
   Dag dag = ex.dag;
   dag.set_wcet(ex.voff, 10);
   const DagTask task(std::move(dag), 100, 100);
-  EXPECT_EQ(task.utilization(), Frac(24, 100));
+  EXPECT_EQ(task.dag().wcet(ex.voff), 10);
+  EXPECT_EQ(task.dag().volume(), 24);
 }
 
 TEST(TaskTest, CopiesShareTheGraph) {

@@ -23,6 +23,7 @@
 
 #include "analysis/analysis_cache.h"
 #include "common/contention_oracle.h"
+#include "common/contention_text.h"
 #include "graph/critical_path.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
@@ -161,7 +162,8 @@ std::string oracle_expired_reply(const model::Platform& platform,
   *cut = shares || cores_used < platform.cores;
   if (!*cut) return oracle_admit_reply(platform, admitted, task);
   analysis::AnalysisCache cache(task.dag());
-  const Frac seed = cache.r_platform(platform);
+  const Frac seed = cache.r_platform(platform.cores, platform.device_units,
+                                     platform.device_speedup);
   AdmissionReply reply;
   reply.task = task.name();
   if (seed > Frac(task.deadline())) {
@@ -201,8 +203,8 @@ void expect_snapshot_matches_oracle(const AdmissionService& service,
   if (admitted.empty()) return;
   const taskset::ContentionAnalysis oracle =
       testing::oracle::contention_rta(snapshot->set);
-  EXPECT_EQ(taskset::explain(snapshot->analysis, snapshot->set),
-            taskset::explain(oracle, snapshot->set))
+  EXPECT_EQ(testing::explain(snapshot->analysis, snapshot->set),
+            testing::explain(oracle, snapshot->set))
       << context;
   EXPECT_EQ(snapshot->analysis.cores_used, oracle.cores_used) << context;
 }
@@ -379,7 +381,7 @@ TEST(IncrementalAdmissionTest, ReuseIsVisibleInTheMetrics) {
   EXPECT_EQ(obs::counter("taskset.rta.fixpoint_solves").value(), 3u);
   EXPECT_EQ(obs::counter("taskset.rta.analyses").value(), 3u);
   const std::string text =
-      taskset::explain_fixpoint(service.snapshot()->analysis);
+      testing::explain_fixpoint(service.snapshot()->analysis);
   EXPECT_NE(text.find("solves=1 "), std::string::npos) << text;
   EXPECT_NE(text.find(" reused=2\n"), std::string::npos) << text;
   obs::set_enabled(false);
@@ -410,8 +412,8 @@ TEST(IncrementalAdmissionTest, FromScratchAnalysisMatchesTheOracle) {
         for (const TaskSet& set : {arena, set_of(arena.platform(), copies)}) {
           const auto library = taskset::contention_rta(set);
           const auto oracle = testing::oracle::contention_rta(set);
-          EXPECT_EQ(taskset::explain(library, set),
-                    taskset::explain(oracle, set));
+          EXPECT_EQ(testing::explain(library, set),
+                    testing::explain(oracle, set));
           EXPECT_EQ(library.telemetry.fixpoint_solves,
                     oracle.telemetry.fixpoint_solves);
           EXPECT_EQ(library.telemetry.iterations,

@@ -118,27 +118,6 @@ TEST(TraceTest, ValidateCatchesHostNodeOnAccelerator) {
   EXPECT_NE(issues.front().find("off the host cores"), std::string::npos);
 }
 
-TEST(TraceTest, BusyTimeAndUtilization) {
-  graph::Dag dag;
-  dag.add_node(6);
-  dag.add_node(3);
-  ScheduleTrace trace(&dag, 2);
-  trace.add(Interval{0, 0, 0, 6});
-  trace.add(Interval{1, 1, 0, 3});
-  EXPECT_EQ(trace.busy_time(0), 6);
-  EXPECT_EQ(trace.busy_time(1), 3);
-  EXPECT_DOUBLE_EQ(trace.utilization(0), 1.0);
-  EXPECT_DOUBLE_EQ(trace.utilization(1), 0.5);
-  EXPECT_EQ(trace.host_idle_time(), 3);
-}
-
-TEST(TraceTest, AcceleratorBusyTime) {
-  const auto ex = testing::paper_example();
-  ScheduleTrace trace(&ex.dag, 2);
-  trace.add(Interval{ex.voff, kAcceleratorUnit, 0, 4});
-  EXPECT_EQ(trace.busy_time(kAcceleratorUnit), 4);
-}
-
 TEST(TraceTest, ConstructionRequiresDagAndCores) {
   const auto dag = testing::chain(1, 1);
   EXPECT_THROW(ScheduleTrace(nullptr, 2), Error);

@@ -28,23 +28,14 @@ TEST(DescriptiveTest, OddMedian) {
 }
 
 TEST(DescriptiveTest, EmptySampleThrows) {
-  EXPECT_THROW(summarize({}), Error);
-  EXPECT_THROW(mean({}), Error);
-}
-
-TEST(DescriptiveTest, Percentiles) {
-  const std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 5.5);
-  EXPECT_THROW(percentile(v, 101), Error);
-  EXPECT_THROW(percentile({}, 50), Error);
+  EXPECT_THROW((void)summarize({}), Error);
+  EXPECT_THROW((void)mean({}), Error);
 }
 
 TEST(DescriptiveTest, PercentageChange) {
   EXPECT_DOUBLE_EQ(percentage_change(120.0, 100.0), 20.0);
   EXPECT_DOUBLE_EQ(percentage_change(80.0, 100.0), -20.0);
-  EXPECT_THROW(percentage_change(1.0, 0.0), Error);
+  EXPECT_THROW((void)percentage_change(1.0, 0.0), Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_cache.h"
+#include "common/contention_text.h"
 #include "taskset/gen.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -157,7 +158,7 @@ TEST(ContentionRtaTest, ExplainNamesTheDominatingPair) {
   set.add(DagTask(chain_dag(10, 8, 1), 200, 200, "tau1"));
   set.add(DagTask(chain_dag(12, 6, 1), 300, 300, "tau2"));
   const ContentionAnalysis admission = contention_rta(set);
-  const std::string text = explain(admission, set);
+  const std::string text = testing::explain(admission, set);
   EXPECT_NE(text.find("SCHEDULABLE"), std::string::npos);
   EXPECT_NE(text.find("dominating contention"), std::string::npos);
   EXPECT_NE(text.find("gpu"), std::string::npos);
@@ -165,7 +166,8 @@ TEST(ContentionRtaTest, ExplainNamesTheDominatingPair) {
 
   TaskSet lonely(Platform::parse("4:gpu"));
   lonely.add(DagTask(chain_dag(10, 8, 1), 200, 200, "tau1"));
-  const std::string solo = explain(contention_rta(lonely), lonely);
+  const std::string solo =
+      testing::explain(contention_rta(lonely), lonely);
   EXPECT_NE(solo.find("no device contention"), std::string::npos);
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -105,20 +104,6 @@ TEST(TaskSetTest, WithAppendedAndWithoutShareTheTasks) {
   EXPECT_THROW((void)shrunk.without(2), Error);
 }
 
-TEST(TaskSetTest, UtilizationAccounting) {
-  const TaskSet set = small_set();
-  // tau1: vol 10 / T 100; tau2: vol 8 / T 50.
-  EXPECT_NEAR(set.total_utilization(), 10.0 / 100.0 + 8.0 / 50.0, 1e-12);
-  // Host: 6/100 + 3/50; device 1: 4/100; device 2: 5/50.
-  EXPECT_NEAR(set.device_utilization(graph::kHostDevice),
-              6.0 / 100.0 + 3.0 / 50.0, 1e-12);
-  EXPECT_NEAR(set.device_utilization(1), 4.0 / 100.0, 1e-12);
-  EXPECT_NEAR(set.device_utilization(2), 5.0 / 50.0, 1e-12);
-  EXPECT_EQ(set.task_device_utilization(0, 1), Frac(4, 100));
-  EXPECT_EQ(set.task_device_utilization(1, 2), Frac(5, 50));
-  EXPECT_EQ(set.task_device_utilization(1, 1), Frac(0));
-}
-
 TEST(TaskSetTest, TextRoundTripIsExact) {
   const TaskSet set = small_set();
   const std::string text = set.to_text();
@@ -126,7 +111,7 @@ TEST(TaskSetTest, TextRoundTripIsExact) {
   // Second serialisation is byte-identical — the round-trip fixpoint.
   EXPECT_EQ(parsed.to_text(), text);
   ASSERT_EQ(parsed.size(), set.size());
-  EXPECT_EQ(parsed.platform(), set.platform());
+  EXPECT_EQ(parsed.platform().spec(), set.platform().spec());
   for (std::size_t i = 0; i < set.size(); ++i) {
     EXPECT_EQ(parsed[i].name(), set[i].name());
     EXPECT_EQ(parsed[i].period(), set[i].period());
@@ -183,17 +168,6 @@ TEST(TaskSetTest, CommentsAndBlankLinesIgnored) {
       "task tau1 period 10 deadline 10\nnode v1 3\nendtask\n");
   EXPECT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].period(), 10);
-}
-
-TEST(TaskSetTest, FileRoundTrip) {
-  const TaskSet set = small_set();
-  const std::string path = ::testing::TempDir() + "/set.taskset";
-  save_taskset_file(set, path);
-  const TaskSet loaded = load_taskset_file(path);
-  EXPECT_EQ(loaded.to_text(), set.to_text());
-  std::remove(path.c_str());
-  EXPECT_THROW(load_taskset_file(::testing::TempDir() + "/missing.taskset"),
-               Error);
 }
 
 }  // namespace

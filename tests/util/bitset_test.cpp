@@ -35,7 +35,7 @@ TEST(BitsetTest, SetResetTest) {
 TEST(BitsetTest, OutOfRangeThrows) {
   DynamicBitset b(10);
   EXPECT_THROW(b.set(10), Error);
-  EXPECT_THROW(b.test(10), Error);
+  EXPECT_THROW((void)b.test(10), Error);
   EXPECT_THROW(b.reset(10), Error);
 }
 
@@ -49,16 +49,12 @@ TEST(BitsetTest, UnionAndIntersection) {
   DynamicBitset u = a;
   u |= b;
   EXPECT_EQ(u.to_indices(), (std::vector<std::size_t>{1, 3, 5}));
-  DynamicBitset i = a;
-  i &= b;
-  EXPECT_EQ(i.to_indices(), (std::vector<std::size_t>{3}));
 }
 
 TEST(BitsetTest, SizeMismatchThrows) {
   DynamicBitset a(10);
   DynamicBitset b(11);
   EXPECT_THROW(a |= b, Error);
-  EXPECT_THROW(a &= b, Error);
 }
 
 TEST(BitsetTest, ToIndicesAscendingAcrossWords) {

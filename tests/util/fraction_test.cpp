@@ -64,10 +64,6 @@ TEST(FracTest, Division) {
   EXPECT_THROW(Frac(1) / Frac(0), Error);
 }
 
-TEST(FracTest, Negation) {
-  EXPECT_EQ(-Frac(3, 7), Frac(-3, 7));
-}
-
 TEST(FracTest, Comparison) {
   EXPECT_LT(Frac(1, 3), Frac(1, 2));
   EXPECT_GT(Frac(7, 2), Frac(3));
@@ -78,11 +74,8 @@ TEST(FracTest, Comparison) {
 
 TEST(FracTest, FloorAndCeil) {
   EXPECT_EQ(Frac(7, 2).floor(), 3);
-  EXPECT_EQ(Frac(7, 2).ceil(), 4);
   EXPECT_EQ(Frac(-7, 2).floor(), -4);
-  EXPECT_EQ(Frac(-7, 2).ceil(), -3);
   EXPECT_EQ(Frac(6).floor(), 6);
-  EXPECT_EQ(Frac(6).ceil(), 6);
 }
 
 TEST(FracTest, ToDouble) {
@@ -123,7 +116,7 @@ TEST(FracTest, OverflowIsDetected) {
 
 // --- INT64_MIN edge cases -------------------------------------------------
 // |INT64_MIN| is not representable as int64, so every code path that used
-// to negate blindly (`den < 0` sign normalisation, unary minus, operator-)
+// to negate blindly (`den < 0` sign normalisation, operator-)
 // was undefined behaviour exactly there.  These pin the fixed semantics:
 // representable results are exact, unrepresentable ones throw.
 
@@ -133,7 +126,6 @@ TEST(FracTest, Int64MinNumeratorIsRepresentable) {
   EXPECT_EQ(f.num(), min);
   EXPECT_EQ(f.den(), 1);
   EXPECT_EQ(f.floor(), min);
-  EXPECT_EQ(f.ceil(), min);
 }
 
 TEST(FracTest, Int64MinReducesAgainstEvenDenominators) {
@@ -165,11 +157,10 @@ TEST(FracTest, Int64MinDenominatorThrowsWhenIrreducible) {
 TEST(FracTest, NegatingInt64MinThrows) {
   const std::int64_t min = std::numeric_limits<std::int64_t>::min();
   const Frac f(min, 1);
-  EXPECT_THROW(-f, Error);
   EXPECT_THROW(Frac(0) - f, Error);
   // The boundary neighbour negates fine.
   const Frac g(min + 1, 1);
-  EXPECT_EQ((-g).num(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ((Frac(0) - g).num(), std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(FracTest, Int64MinSurvivesMultiplyCrossReduction) {
