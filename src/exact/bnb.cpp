@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -109,9 +110,9 @@ struct SearchContext {
 };
 
 /// The full mutable search position (was the Solver's member soup).  The
-/// sequential DFS mutates one instance in place with undo frames; the
-/// parallel frontier snapshots copies, each copy the root of an
-/// independent subtree that a worker explores with its own frame pool.
+/// sequential DFS mutates one instance in place with undo frames; each
+/// parallel subproblem carries a copy, the root of an independent subtree
+/// that a worker explores with its own frame pool.
 struct SearchState {
   Time now = 0;
   int free_cores = 0;
@@ -133,36 +134,60 @@ struct SearchState {
   DynamicBitset started;  ///< started or finished
 };
 
-/// One frontier task: an independent subtree rooted at `state`.  min_host /
-/// min_accel carry the canonical-order suffix constraints of the pending
-/// decision (see DfsEngine::search), depth counts the splits from the root.
+/// One unit of parallel work: an independent subtree rooted at `state`.
+/// min_host / min_accel carry the canonical-order suffix constraints of the
+/// pending decision (see DfsEngine::search): a donated subproblem is a
+/// bookmark into its donor's branch loop.
 struct Subproblem {
   SearchState state;
   std::size_t min_host = 0;
   std::size_t min_accel = 0;
-  int depth = 0;
+};
+
+/// One decision node on a parallel worker's current DFS path: the branch
+/// family in progress and the child it is exploring (enough to replay the
+/// path from the subproblem's root), the min_accel the node was entered
+/// with, and whether its unexplored siblings were donated.
+struct Level {
+  enum class Phase : std::uint8_t { kDominance, kHost, kAccel, kDelay };
+  Phase phase = Phase::kDominance;
+  bool donated = false;
+  NodeId node = 0;            ///< started by the child in progress
+  std::size_t cursor = 0;     ///< its index in ready_host / ready_accel
+  std::size_t min_accel = 0;  ///< the node's entry min_accel
 };
 
 /// Coordination shared by every worker of one parallel solve.  The
 /// incumbent is the load-bearing member: a bound CAS-tightened by one
 /// worker immediately prunes all other subtrees.
 ///
-/// Every mutable member is an atomic published without locks — the
-/// structure is deliberately lock-free, so there is no capability for the
-/// thread-safety analysis to track; instead the invariants are enforced by
-/// construction: the atomics are lock-free on every supported target
-/// (static_assert below) and `deadline` is const after construction, so no
-/// worker can observe a torn or stale value of either kind.
+/// Every member the workers poll is an atomic published without locks —
+/// the structure is deliberately lock-free, so there is no capability for
+/// the thread-safety analysis to track; instead the invariants are
+/// enforced by construction: the atomics are lock-free on every supported
+/// target (static_assert below), `deadline` is const after construction,
+/// and `error` is written once, by the worker that won `failed`, and read
+/// only after every worker joined.
 struct SharedSearch {
   SharedSearch(Time initial,
                std::chrono::steady_clock::time_point limit)
       : best(initial), initial_best(initial), deadline(limit) {}
+
+  /// Records a worker's exception (the first one wins) and aborts the
+  /// search, so the other workers drain their subproblems and retire.
+  void fail(std::exception_ptr e) {
+    aborted.store(true, std::memory_order_relaxed);
+    if (!failed.exchange(true, std::memory_order_acq_rel)) error = std::move(e);
+  }
+
   std::atomic<Time> best;                ///< incumbent upper bound
   const Time initial_best;               ///< the root heuristic upper bound
   std::atomic<std::uint64_t> nodes{0};   ///< flushed decision-node total
-  std::atomic<bool> aborted{false};      ///< any worker ran out of budget
+  std::atomic<bool> aborted{false};      ///< budget spent or a worker threw
   std::atomic<int> hungry{0};  ///< workers currently without local work
   std::atomic<long long> in_flight{0};   ///< queued + executing subproblems
+  std::atomic<bool> failed{false};       ///< some worker threw
+  std::exception_ptr error;              ///< the first worker exception
   const std::chrono::steady_clock::time_point deadline;
 };
 static_assert(std::atomic<Time>::is_always_lock_free &&
@@ -170,11 +195,6 @@ static_assert(std::atomic<Time>::is_always_lock_free &&
                   std::atomic<long long>::is_always_lock_free,
               "SharedSearch members must be lock-free: workers poll them "
               "on the search hot path");
-
-/// Splitting stops at this depth even if workers are still hungry: a
-/// frontier this deep means the tree is too thin to parallelise and the
-/// O(n) state copies per split would dominate the subtree they hand off.
-constexpr int kMaxSplitDepth = 64;
 
 /// Local decision nodes between polls of the shared/wall-clock budget.
 constexpr std::uint64_t kBudgetPollMask = 0x3FF;  // every 1024 nodes
@@ -195,11 +215,14 @@ constexpr std::uint64_t kBudgetPollMask = 0x3FF;  // every 1024 nodes
 /// One engine instance is the sequential solver (shared == nullptr: local
 /// incumbent, exact node-budget truncation).  In parallel mode each worker
 /// owns one engine that runs many subtree Subproblems back to back against
-/// the shared incumbent, flushing its node count every 1024 nodes.
+/// the shared incumbent, flushing its node count every 1024 nodes and,
+/// when another worker is hungry, donating the unexplored siblings of its
+/// shallowest open decisions to its deque `own`.
 class DfsEngine {
  public:
-  DfsEngine(const SearchContext& ctx, SharedSearch* shared)
-      : ctx_(ctx), shared_(shared) {
+  DfsEngine(const SearchContext& ctx, SharedSearch* shared,
+            WorkStealingDeque<Subproblem>* own = nullptr)
+      : ctx_(ctx), shared_(shared), own_(own) {
     if (shared_ == nullptr) {
       deadline_ = search_deadline(ctx.config);
     } else {
@@ -246,7 +269,7 @@ class DfsEngine {
   [[nodiscard]] const SearchState& state() const { return s_; }
 
   /// The engine's telemetry so far (node count filled in from the live
-  /// counter; the worker-level steal/split fields stay zero here).
+  /// counter; the worker loop fills in steals).
   [[nodiscard]] SearchStats stats() const {
     SearchStats out = stats_;
     out.nodes = nodes_;
@@ -255,87 +278,15 @@ class DfsEngine {
 
   /// Runs the DFS from the current state (sequential entry point).
   void run(std::size_t min_host, std::size_t min_accel) {
-    search(min_host, min_accel);
+    search<false>(min_host, min_accel);
   }
 
-  /// Runs the DFS from a frontier subproblem (parallel entry point).
+  /// Runs the DFS from a subproblem (parallel entry point).  Donations
+  /// replay from `sp.state`, so `sp` must outlive the call.
   void run_subproblem(const Subproblem& sp) {
+    root_ = &sp;
     s_ = sp.state;
-    search(sp.min_host, sp.min_accel);
-  }
-
-  /// Expands one decision node of `sp` breadth-first: every branch the DFS
-  /// would explore becomes a child Subproblem (canonical order preserved).
-  /// Mirrors search() exactly — budget, incumbent update on completion,
-  /// lower-bound prune — so frontier expansion is itself part of the
-  /// branch-and-bound, not a preprocessing pass.
-  void expand(const Subproblem& sp, std::vector<Subproblem>& children) {
-    s_ = sp.state;
-    if (out_of_budget()) return;
-    ++nodes_;
-
-    if (s_.completed == ctx_.flat.num_nodes()) {
-      offer_best(s_.now);
-      return;
-    }
-    {
-      const Time bound = current_best();
-      if (lower_bound() >= bound) {
-        count_prune(bound);
-        return;
-      }
-    }
-
-    const auto child = [&](std::size_t min_host, std::size_t min_accel) {
-      Subproblem c;
-      c.state = s_;
-      c.min_host = min_host;
-      c.min_accel = min_accel;
-      c.depth = sp.depth + 1;
-      children.push_back(std::move(c));
-    };
-
-    // Dominance: a lone offload node starts the moment it is ready.
-    if (ctx_.single_offload && s_.accel_free && s_.accel_ready_count > 0) {
-      std::size_t i = 0;
-      while (s_.started.test_unchecked(s_.ready_accel[i])) ++i;
-      const NodeId v = s_.ready_accel[i];
-      const std::size_t saved_ptr = s_.down_ptr;
-      start_node(v, /*on_accel=*/true);
-      child(sp.min_host, 0);
-      undo_start(v, /*on_accel=*/true);
-      s_.down_ptr = saved_ptr;
-      return;
-    }
-
-    if (s_.free_cores > 0) {
-      for (std::size_t i = sp.min_host; i < s_.ready_host.size(); ++i) {
-        const NodeId v = s_.ready_host[i];
-        if (s_.started.test_unchecked(v)) continue;
-        const std::size_t saved_ptr = s_.down_ptr;
-        start_node(v, /*on_accel=*/false);
-        child(i + 1, s_.ready_accel.size());
-        undo_start(v, /*on_accel=*/false);
-        s_.down_ptr = saved_ptr;
-      }
-    }
-
-    if (s_.accel_free) {
-      for (std::size_t i = sp.min_accel; i < s_.ready_accel.size(); ++i) {
-        const NodeId v = s_.ready_accel[i];
-        if (s_.started.test_unchecked(v)) continue;
-        const std::size_t saved_ptr = s_.down_ptr;
-        start_node(v, /*on_accel=*/true);
-        child(sp.min_host, i + 1);
-        undo_start(v, /*on_accel=*/true);
-        s_.down_ptr = saved_ptr;
-      }
-    }
-
-    if (s_.running.empty()) return;  // nothing in flight: delaying deadlocks
-    advance_to_next_event();
-    child(0, 0);
-    undo_event();
+    search<true>(sp.min_host, sp.min_accel);
   }
 
   /// Adds any node count not yet flushed to the shared total (call once
@@ -447,45 +398,107 @@ class DfsEngine {
 
   bool out_of_budget() {
     if (aborted_) return true;
+    // Sequential mode: the node budget truncates at exactly max_nodes
+    // (golden-pinned); only the rest of the poll is amortised.
+    if (shared_ == nullptr && nodes_ >= ctx_.config.max_nodes) {
+      aborted_ = true;
+      return true;
+    }
+    if ((nodes_ & kBudgetPollMask) != 0) return false;
+    ++stats_.budget_polls;
+    // Fault seam inside the amortised poll: the per-node hot path (tens of
+    // millions of nodes/s) never pays for it.  A throw in a parallel
+    // worker reaches the caller through worker_loop.
+    HEDRA_FAULT("exact.bnb.node");
     if (shared_ == nullptr) {
-      // Sequential mode: the node budget truncates at exactly max_nodes
-      // (golden-pinned); only the steady_clock read is amortised.
-      if (nodes_ >= ctx_.config.max_nodes) {
-        aborted_ = true;
-        return true;
-      }
-      if ((nodes_ & kBudgetPollMask) == 0) {
-        ++stats_.budget_polls;
-        // Fault seam inside the amortised branch: the per-node hot path
-        // (tens of millions of nodes/s) never pays for it.
-        HEDRA_FAULT("exact.bnb.node");
-        if (std::chrono::steady_clock::now() >= deadline_) {
-          aborted_ = true;
-          return true;
-        }
-      }
-      return false;
+      aborted_ = std::chrono::steady_clock::now() >= deadline_;
+      return aborted_;
     }
     // Parallel mode: the budgets are shared.  Flush the local node count
-    // and poll the shared state every 1024 nodes — so the node budget may
-    // overshoot by up to 1024 nodes per worker (documented in bnb.h).
-    // No fault seam here: a throw would escape the worker thread.
-    if ((nodes_ & kBudgetPollMask) == 0) {
-      ++stats_.budget_polls;
-      const std::uint64_t total =
-          shared_->nodes.fetch_add(nodes_ - flushed_nodes_,
-                                   std::memory_order_relaxed) +
-          (nodes_ - flushed_nodes_);
-      flushed_nodes_ = nodes_;
-      if (shared_->aborted.load(std::memory_order_relaxed) ||
-          total >= ctx_.config.max_nodes ||
-          std::chrono::steady_clock::now() >= deadline_) {
-        shared_->aborted.store(true, std::memory_order_relaxed);
-        aborted_ = true;
-        return true;
-      }
+    // and poll the shared state — so the node budget may overshoot by up
+    // to 1024 nodes per worker (documented in bnb.h).
+    const std::uint64_t total =
+        shared_->nodes.fetch_add(nodes_ - flushed_nodes_,
+                                 std::memory_order_relaxed) +
+        (nodes_ - flushed_nodes_);
+    flushed_nodes_ = nodes_;
+    if (shared_->aborted.load(std::memory_order_relaxed) ||
+        total >= ctx_.config.max_nodes ||
+        std::chrono::steady_clock::now() >= deadline_) {
+      shared_->aborted.store(true, std::memory_order_relaxed);
+      aborted_ = true;
+      return true;
+    }
+    const int hungry = shared_->hungry.load(std::memory_order_relaxed);
+    if (hungry > 0) {
+      // Work the own deque already holds feeds hungry workers first.
+      const long long want = hungry - static_cast<long long>(own_->size());
+      if (want > 0) donate(want);
     }
     return false;
+  }
+
+  /// Hands hungry workers the unexplored siblings of up to `want` open
+  /// levels of the current path, shallowest (largest) first: each becomes
+  /// a bookmarked Subproblem on the own deque, and the level's branch loop
+  /// stops once its child in progress returns.  The state at level L is
+  /// rebuilt by replaying the decisions of levels 0..L-1 from the
+  /// subproblem's root state on a scratch engine.  Dominance and delay
+  /// levels have no siblings left.
+  void donate(long long want) {
+    DfsEngine scratch(ctx_, nullptr);
+    scratch.s_ = root_->state;
+    bool donated_any = false;
+    for (std::size_t l = 0; l < levels_.size() && want > 0; ++l) {
+      Level& level = levels_[l];
+      const bool host = level.phase == Level::Phase::kHost;
+      if (!level.donated && (host || level.phase == Level::Phase::kAccel)) {
+        Subproblem sp;
+        sp.state = scratch.s_;
+        sp.min_host = host ? level.cursor + 1 : sp.state.ready_host.size();
+        sp.min_accel = host ? level.min_accel : level.cursor + 1;
+        // Counted before it is visible, so in_flight cannot reach 0 while
+        // the subproblem waits on the deque.
+        shared_->in_flight.fetch_add(1, std::memory_order_acq_rel);
+        try {
+          own_->push_bottom(std::move(sp));
+        } catch (...) {
+          shared_->in_flight.fetch_sub(1, std::memory_order_acq_rel);
+          throw;
+        }
+        level.donated = true;
+        donated_any = true;
+        ++stats_.splits;
+        --want;
+      }
+      scratch.replay(level);
+    }
+    if (!donated_any) ++stats_.split_refusals;
+  }
+
+  /// Records the child the open node on top of `levels_` is about to
+  /// explore (parallel mode only).
+  void enter(Level::Phase phase, std::size_t cursor, NodeId v) {
+    Level& level = levels_.back();
+    level.phase = phase;
+    level.cursor = cursor;
+    level.node = v;
+  }
+
+  /// Re-applies the decision `level` took for its child in progress.
+  void replay(const Level& level) {
+    switch (level.phase) {
+      case Level::Phase::kHost:
+        start_node(level.node, /*on_accel=*/false);
+        break;
+      case Level::Phase::kDominance:
+      case Level::Phase::kAccel:
+        start_node(level.node, /*on_accel=*/true);
+        break;
+      case Level::Phase::kDelay:
+        advance_to_next_event();
+        break;
+    }
   }
 
   void start_node(NodeId v, bool on_accel) {
@@ -619,7 +632,9 @@ class DfsEngine {
   /// are positions in the (priority-sorted) ready arrays: only suffix
   /// entries not yet started may still start at this time, cancelling
   /// permutation symmetry of simultaneous starts exactly as the historical
-  /// erase-based enumeration did.
+  /// erase-based enumeration did.  `kParallel` keeps the decision path in
+  /// `levels_` for donation; the sequential instantiation keeps none.
+  template <bool kParallel>
   void search(std::size_t min_host, std::size_t min_accel) {
     if (out_of_budget()) return;
     ++nodes_;
@@ -635,15 +650,29 @@ class DfsEngine {
         return;
       }
     }
+    if constexpr (kParallel) {
+      levels_.push_back(Level{.min_accel = min_accel});
+      branch<true>(min_host, min_accel);
+      levels_.pop_back();
+    } else {
+      branch<false>(min_host, min_accel);
+    }
+  }
 
+  /// The branches of one open decision node, in canonical order.  In
+  /// parallel mode each child is recorded in the node's Level before it
+  /// runs, and the node stops branching once its siblings were donated.
+  template <bool kParallel>
+  void branch(std::size_t min_host, std::size_t min_accel) {
     // Dominance: a lone offload node starts the moment it is ready.
     if (ctx_.single_offload && s_.accel_free && s_.accel_ready_count > 0) {
       std::size_t i = 0;
       while (s_.started.test_unchecked(s_.ready_accel[i])) ++i;
       const NodeId v = s_.ready_accel[i];
       const std::size_t saved_ptr = s_.down_ptr;
+      if constexpr (kParallel) enter(Level::Phase::kDominance, i, v);
       start_node(v, /*on_accel=*/true);
-      search(min_host, 0);
+      search<kParallel>(min_host, 0);
       undo_start(v, /*on_accel=*/true);
       s_.down_ptr = saved_ptr;
       return;
@@ -655,13 +684,14 @@ class DfsEngine {
         const NodeId v = s_.ready_host[i];
         if (s_.started.test_unchecked(v)) continue;
         const std::size_t saved_ptr = s_.down_ptr;
+        if constexpr (kParallel) enter(Level::Phase::kHost, i, v);
         start_node(v, /*on_accel=*/false);
         // Canonical order for simultaneous starts: accelerator starts come
         // before host starts, so none are allowed after this one.
-        search(i + 1, s_.ready_accel.size());
+        search<kParallel>(i + 1, s_.ready_accel.size());
         undo_start(v, /*on_accel=*/false);
         s_.down_ptr = saved_ptr;
-        if (aborted_) return;
+        if (aborted_ || (kParallel && levels_.back().donated)) return;
       }
     }
 
@@ -672,23 +702,28 @@ class DfsEngine {
         const NodeId v = s_.ready_accel[i];
         if (s_.started.test_unchecked(v)) continue;
         const std::size_t saved_ptr = s_.down_ptr;
+        if constexpr (kParallel) enter(Level::Phase::kAccel, i, v);
         start_node(v, /*on_accel=*/true);
-        search(min_host, i + 1);
+        search<kParallel>(min_host, i + 1);
         undo_start(v, /*on_accel=*/true);
         s_.down_ptr = saved_ptr;
-        if (aborted_) return;
+        if (aborted_ || (kParallel && levels_.back().donated)) return;
       }
     }
 
     // Branch: delay everything else to the next completion event.
     if (s_.running.empty()) return;  // nothing in flight: delaying deadlocks
+    if constexpr (kParallel) enter(Level::Phase::kDelay, 0, 0);
     advance_to_next_event();
-    search(0, 0);
+    search<kParallel>(0, 0);
     undo_event();
   }
 
   const SearchContext& ctx_;
   SharedSearch* shared_ = nullptr;  ///< null = sequential (deterministic)
+  WorkStealingDeque<Subproblem>* own_ = nullptr;  ///< donations (parallel)
+  const Subproblem* root_ = nullptr;  ///< the running subproblem (parallel)
+  std::vector<Level> levels_;  ///< its open decision path (parallel)
   SearchState s_;
 
   /// One reusable frame per delay depth.  A deque so references handed out
@@ -707,24 +742,22 @@ class DfsEngine {
 
 /// Worker loop of the parallel solve: drain the own deque bottom-first;
 /// when empty, steal the oldest (shallowest) subproblem from the next
-/// victim in ring order.  A popped subproblem is *split* (one breadth-first
-/// expansion, children pushed locally) whenever some worker is hungry and
-/// the subtree is shallow enough to be worth handing off; otherwise it runs
-/// to exhaustion in the fast in-place DFS.  Termination: `in_flight` counts
-/// queued + executing subproblems, so 0 means the whole tree is done.
+/// victim in ring order.  Every subproblem runs in the in-place DFS, which
+/// donates work to this deque while another worker is hungry.
+/// Termination: `in_flight` counts queued + executing subproblems, so 0
+/// means the whole tree is done.  A throw retires the subproblem, aborts
+/// the search and ends this worker; the caller rethrows it after the join.
 void worker_loop(const SearchContext& ctx, SharedSearch& shared,
                  std::vector<WorkStealingDeque<Subproblem>>& deques, int wid,
                  int jobs, SearchStats& stats_out) {
-  DfsEngine engine(ctx, &shared);
-  std::vector<Subproblem> children;
+  WorkStealingDeque<Subproblem>& own = deques[static_cast<std::size_t>(wid)];
+  DfsEngine engine(ctx, &shared, &own);
   Subproblem sp;
-  // Scheduling telemetry lives here (the engine counts search-tree
-  // events): plain locals, written out once when the worker retires.
+  // Steals are counted here (the engine counts search-tree events): a
+  // plain local, written out once when the worker retires.
   std::uint64_t steals = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t split_refusals = 0;
   for (;;) {
-    bool got = deques[static_cast<std::size_t>(wid)].pop_bottom(sp);
+    bool got = own.pop_bottom(sp);
     if (!got) {
       shared.hungry.fetch_add(1, std::memory_order_relaxed);
       while (!got) {
@@ -739,30 +772,19 @@ void worker_loop(const SearchContext& ctx, SharedSearch& shared,
       if (!got) break;
       ++steals;
     }
-    const bool split = sp.depth < kMaxSplitDepth &&
-                       shared.hungry.load(std::memory_order_relaxed) > 0 &&
-                       !shared.aborted.load(std::memory_order_relaxed);
-    if (split) {
-      ++splits;
-      children.clear();
-      engine.expand(sp, children);
-      // Reverse push so pop_bottom explores children in canonical branch
-      // order while steal_top hands thieves the oldest entries.
-      for (auto it = children.rbegin(); it != children.rend(); ++it) {
-        shared.in_flight.fetch_add(1, std::memory_order_acq_rel);
-        deques[static_cast<std::size_t>(wid)].push_bottom(std::move(*it));
-      }
-    } else {
-      ++split_refusals;
+    bool threw = false;
+    try {
       engine.run_subproblem(sp);
+    } catch (...) {
+      shared.fail(std::current_exception());
+      threw = true;
     }
     shared.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+    if (threw) break;
   }
   engine.flush_nodes();
   stats_out = engine.stats();
   stats_out.steals = steals;
-  stats_out.splits = splits;
-  stats_out.split_refusals = split_refusals;
 }
 
 BnbResult parallel_min_makespan(const SearchContext& ctx, BnbResult seed,
@@ -783,14 +805,20 @@ BnbResult parallel_min_makespan(const SearchContext& ctx, BnbResult seed,
   std::vector<SearchStats> per_worker(static_cast<std::size_t>(jobs));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(jobs - 1));
-  for (int wid = 1; wid < jobs; ++wid) {
-    threads.emplace_back([&ctx, &shared, &deques, &per_worker, wid, jobs] {
-      worker_loop(ctx, shared, deques, wid, jobs,
-                  per_worker[static_cast<std::size_t>(wid)]);
-    });
+  try {
+    for (int wid = 1; wid < jobs; ++wid) {
+      threads.emplace_back([&ctx, &shared, &deques, &per_worker, wid, jobs] {
+        worker_loop(ctx, shared, deques, wid, jobs,
+                    per_worker[static_cast<std::size_t>(wid)]);
+      });
+    }
+  } catch (...) {
+    // A failed spawn: the workers already running drain with worker 0.
+    shared.fail(std::current_exception());
   }
   worker_loop(ctx, shared, deques, /*wid=*/0, jobs, per_worker[0]);
   for (auto& t : threads) t.join();
+  if (shared.error) std::rethrow_exception(shared.error);
 
   seed.makespan = shared.best.load(std::memory_order_relaxed);
   seed.nodes_explored = shared.nodes.load(std::memory_order_relaxed);

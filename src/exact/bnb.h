@@ -26,15 +26,21 @@
 /// schedule found so far is returned with proven_optimal = false; the
 /// figure-7 harness reports the fraction of instances proven optimal.
 ///
-/// Parallel mode (`BnbConfig::jobs > 1`): the root expands breadth-first
-/// into a frontier of independent subtree tasks, workers drain per-worker
-/// deques (stealing the shallowest pending subtree from a victim when their
-/// own runs dry), and the incumbent upper bound is a shared atomic that
-/// every worker prunes against and CAS-updates.  Proven-optimal makespans
-/// are exactly the sequential ones (see DESIGN.md for the safety argument);
+/// Parallel mode (`BnbConfig::jobs > 1`): every worker runs the same
+/// in-place DFS on a subproblem from its own deque, stealing the oldest
+/// (shallowest) subproblem from a victim when its deque runs dry.  Work is
+/// split from inside the running DFS: at the budget poll (every 1024
+/// nodes), a worker that sees a hungry peer donates the unexplored
+/// siblings of its shallowest open decision as one bookmarked subproblem
+/// and stops branching at that decision once its child in progress
+/// returns.  The incumbent upper bound is a shared atomic that every
+/// worker prunes against and CAS-updates.  Proven-optimal makespans are
+/// exactly the sequential ones (see DESIGN.md for the safety argument);
 /// `nodes_explored` and any budget-truncated (unproven) makespan may vary
-/// run to run.  `jobs == 1` is the deterministic mode: the sequential DFS,
-/// bit-identical to the historical solver and the committed goldens.
+/// run to run.  An exception thrown in any worker stops the search and is
+/// rethrown to the caller once every worker has joined.  `jobs == 1` is
+/// the deterministic mode: the sequential DFS, bit-identical to the
+/// historical solver and the committed goldens.
 
 #include <cstdint>
 #include <vector>
@@ -75,8 +81,14 @@ struct SearchStats {
   std::uint64_t prune_bound = 0;
   std::uint64_t budget_polls = 0;     ///< amortised budget/clock checks
   std::uint64_t steals = 0;           ///< subproblems stolen from a victim
-  std::uint64_t splits = 0;           ///< subproblems expanded breadth-first
-  std::uint64_t split_refusals = 0;   ///< popped but run in place instead
+  /// Subproblems donated at a budget poll: each is the unexplored siblings
+  /// of one open decision, handed to a hungry worker.  A thief re-expands
+  /// the decision node itself, so a parallel solve whose incumbent never
+  /// moves counts exactly the sequential nodes plus `splits`.
+  std::uint64_t splits = 0;
+  /// Budget polls that saw a hungry worker, with no work queued to feed
+  /// it, but found no decision with siblings left to donate.
+  std::uint64_t split_refusals = 0;
 };
 
 /// Solver outcome.

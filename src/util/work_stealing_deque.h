@@ -14,9 +14,10 @@
 /// This is the lock-guarded fallback implementation: every operation takes
 /// one uncontended mutex.  The interface is Chase–Lev-shaped on purpose so a
 /// lock-free array-based implementation can replace the body without
-/// touching any caller; profiling the B&B workload shows deque traffic is a
-/// few thousand operations per solve against tens of millions of search
-/// nodes, so the mutex is nowhere near the critical path today.
+/// touching any caller; in the traced `exact_proof` benchmark a parallel
+/// solve pushes about 33 donated subproblems (and steals about as many)
+/// against some 150k search nodes, so the mutex is nowhere near the
+/// critical path today.
 
 #include <cstddef>
 #include <deque>

@@ -15,6 +15,7 @@
 #include "common/fixtures.h"
 #include "exp/experiment.h"
 #include "graph/dag.h"
+#include "util/fault.h"
 
 namespace hedra::exact {
 namespace {
@@ -62,7 +63,7 @@ TEST(BnbParallelTest, MatchesSequentialOnRandomBatches) {
 }
 
 /// Stress: race many small instances back to back at jobs=4 — thread
-/// startup/teardown, frontier splitting and stealing on every solve.  Runs
+/// startup/teardown, donation and stealing on every solve.  Runs
 /// under the ASan job (whole suite) and the TSan job (filtered).
 TEST(BnbParallelTest, StressManySmallInstancesAtJobs4) {
   const auto batch = exp::generate_batch(small_batch(4, 12, 24, 0xACE5EEDULL));
@@ -75,6 +76,64 @@ TEST(BnbParallelTest, StressManySmallInstancesAtJobs4) {
       EXPECT_EQ(par.makespan, brute_force_min_makespan(batch[i], m))
           << "instance " << i << " m=" << m;
     }
+  }
+}
+
+/// Donation, the parallel solver's only way to split, on instances of at
+/// least 100k jobs=1 nodes from a fig7-shaped batch (m = 2, 15-25 nodes,
+/// the shape the exact_proof benchmark picks from).  Every jobs=4 solve
+/// must split, be proven and equal jobs=1.  Where the heuristic upper
+/// bound is already optimal the incumbent never moves, so every subtree
+/// prunes exactly as in the sequential DFS and the node count is exact:
+/// each donated subproblem re-expands the one node its donor branched
+/// from, so the workers' total is the sequential tree plus one node per
+/// split.  A donor that kept branching at a donated level, or a bookmark
+/// that lost a sibling (the delay branch, say), breaks that equation.
+/// Nothing is timed: a spawned thread can take milliseconds to start, and
+/// these trees take tens of milliseconds to close at full speed.
+TEST(BnbParallelTest, DonationSplitsTheTreeExactly) {
+  const auto batch = exp::generate_batch(small_batch(15, 25, 24, 78));
+  BnbConfig sequential;
+  sequential.time_limit_sec = 1e6;  // sanitizer builds run ~20x slower
+  BnbConfig parallel = sequential;
+  parallel.jobs = 4;
+  int exact_counts = 0;
+  for (const std::size_t i : {11U, 17U, 22U}) {
+    const BnbResult seq = min_makespan(batch[i], 2, sequential);
+    ASSERT_TRUE(seq.proven_optimal) << "instance " << i;
+    ASSERT_GE(seq.nodes_explored, 100'000U) << "instance " << i;
+    const BnbResult par = min_makespan(batch[i], 2, parallel);
+    ASSERT_TRUE(par.proven_optimal) << "instance " << i;
+    EXPECT_EQ(par.makespan, seq.makespan) << "instance " << i;
+    EXPECT_GT(par.stats.splits, 0U) << "instance " << i;
+    if (seq.makespan == seq.heuristic_upper_bound) {
+      ++exact_counts;
+      EXPECT_EQ(par.stats.nodes, seq.nodes_explored + par.stats.splits)
+          << "instance " << i << ", " << par.stats.splits << " splits";
+    }
+  }
+  EXPECT_GT(exact_counts, 0) << "no instance pinned the node count";
+}
+
+/// A throw inside the search reaches the caller in both modes.  The seam
+/// sits at the budget poll both modes share (every 1024 nodes of each
+/// worker); at jobs=4 the worker that threw retires its subproblem, the
+/// others drain, every thread joins and the exception is rethrown.
+TEST(BnbParallelTest, WorkerExceptionReachesTheCaller) {
+  const auto batch = exp::generate_batch(small_batch(15, 25, 24, 78));
+  const graph::Dag& dag = batch[15];  // ~12k jobs=1 nodes: >= 3 polls
+  const BnbResult reference = min_makespan(dag, 2);
+  ASSERT_TRUE(reference.proven_optimal);
+  for (const int jobs : {1, 4}) {
+    BnbConfig config;
+    config.jobs = jobs;
+    fault::arm("exact.bnb.node", fault::Trigger{.nth = 3});
+    EXPECT_THROW((void)min_makespan(dag, 2, config), fault::Injected)
+        << "jobs=" << jobs;
+    fault::reset();
+    const BnbResult again = min_makespan(dag, 2, config);
+    EXPECT_TRUE(again.proven_optimal) << "jobs=" << jobs;
+    EXPECT_EQ(again.makespan, reference.makespan) << "jobs=" << jobs;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "exp/fig6.h"
@@ -43,6 +44,25 @@ TEST(BatchSeedsTest, RegressionNearbyMasterSeedsShareNoBatchSeeds) {
 TEST(BatchSeedsTest, DerivationIsReproducible) {
   EXPECT_EQ(batch_seeds(7, 64), batch_seeds(7, 64));
   EXPECT_NE(batch_seeds(7, 8), batch_seeds(8, 8));
+}
+
+/// A precondition message names its source by the path inside the
+/// checkout, never by where the checkout lives: the build maps the source
+/// root out of __FILE__.
+TEST(BatchConfigTest, RequireMessageNamesTheSourceInsideTheCheckout) {
+  BatchConfig config;
+  config.count = 0;
+  const std::string tests_dir = HEDRA_TEST_DATA_DIR;
+  const std::string root = tests_dir.substr(0, tests_dir.rfind("/tests"));
+  try {
+    (void)generate_batch(config);
+    FAIL() << "count = 0 was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/exp/experiment.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find(root), std::string::npos) << what;
+  }
 }
 
 TEST(MakeGridTest, ExpandsRatioMajorWithForkedSeeds) {
