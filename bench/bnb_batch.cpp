@@ -90,6 +90,8 @@ int main(int argc, char** argv) {
     HEDRA_REQUIRE(*shard_count >= 1, "--shard-count must be >= 1");
     HEDRA_REQUIRE(*shard_index >= 0 && *shard_index < *shard_count,
                   "--shard-index must be in [0, shard-count)");
+    HEDRA_REQUIRE(*solver_nodes >= 1, "--solver-nodes must be >= 1");
+    HEDRA_REQUIRE(*time_limit > 0.0, "--time-limit must be > 0");
 
     hedra::exp::BatchConfig batch;
     batch.params = hedra::gen::HierarchicalParams::small_tasks();

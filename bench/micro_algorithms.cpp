@@ -10,11 +10,9 @@
 #include "analysis/analysis_cache.h"
 #include "analysis/batch_kernels.h"
 #include "analysis/rta_heterogeneous.h"
-#include "dense_dag.h"
 #include "exact/bnb.h"
 #include "exp/experiment.h"
 #include "gen/flat_gen.h"
-#include "gen/hierarchical.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "graph/flat_dag.h"
@@ -38,19 +36,6 @@ Dag make_instance(int min_nodes, int max_nodes, std::uint64_t seed,
   hedra::gen::generate_offload_flat(params, ratio, rng, batch);
   return batch.materialize(0);
 }
-
-void BM_GenerateHierarchical(benchmark::State& state) {
-  Rng rng(1);
-  hedra::gen::HierarchicalParams params;
-  params.max_depth = 5;
-  params.n_par = 8;
-  params.min_nodes = static_cast<int>(state.range(0));
-  params.max_nodes = static_cast<int>(state.range(0)) * 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hedra::gen::generate_hierarchical(params, rng));
-  }
-}
-BENCHMARK(BM_GenerateHierarchical)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_CriticalPath(benchmark::State& state) {
   const Dag dag =
@@ -154,27 +139,6 @@ void BM_SimulatePolicySweepShape(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatePolicySweepShape)->DenseRange(0, 4);
 
-// The anomaly sweeps' shape: simulate_with_times under every policy over
-// one CSR snapshot, with the actual times drawn once outside the timed
-// loop so every iteration replays identical work.
-void BM_SimulateWithTimes(benchmark::State& state) {
-  const Dag dag = make_instance(60, 120, 17, 0.25);
-  const hedra::graph::FlatDag flat(dag);
-  Rng rng(17);
-  const auto actual = hedra::sim::random_actual_times(dag, 0.3, rng);
-  hedra::sim::SimConfig config;
-  config.cores = 8;
-  config.validate = false;
-  for (auto _ : state) {
-    for (const auto policy : hedra::sim::all_policies()) {
-      config.policy = policy;
-      benchmark::DoNotOptimize(
-          hedra::sim::simulate_with_times(flat.view(), config, actual));
-    }
-  }
-}
-BENCHMARK(BM_SimulateWithTimes);
-
 void BM_FlatDagBuild(benchmark::State& state) {
   const Dag dag =
       make_instance(static_cast<int>(state.range(0)),
@@ -197,17 +161,6 @@ void BM_PlatformRtaCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlatformRtaCached)->Arg(50)->Arg(200);
-
-void BM_TransitiveReduction(benchmark::State& state) {
-  // Dense random id-ordered DAG: plenty of redundant edges, the workload
-  // the sorted-lookup rewrite targets.
-  const Dag dag = std::move(hedra::benchdata::make_dense_batch(
-      1, static_cast<int>(state.range(0)), 0.1, 11)[0]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hedra::graph::transitive_reduction(dag));
-  }
-}
-BENCHMARK(BM_TransitiveReduction)->Arg(60)->Arg(150);
 
 // The SoA arena pipeline (PR 7): whole-batch generation into one arena vs
 // the same batch materialised as a vector<Dag> (exp::generate_batch), and

@@ -1,25 +1,34 @@
 #include "exp/fig10.h"
 
-#include <algorithm>
-
 #include "exp/runner.h"
-#include "sim/scheduler.h"
-#include "stats/descriptive.h"
 
 namespace hedra::exp {
 
-namespace {
-
-/// Per-(DAG, m) measurements: the platform bound and one simulated makespan
-/// per ready-queue policy.
-struct Fig10Sample {
-  double bound = 0.0;
-  std::vector<double> makespans;  ///< aligned with sim::all_policies()
-  double worst = 0.0;             ///< max of makespans
-  bool violated = false;          ///< some makespan exceeded the bound
-};
-
-}  // namespace
+PlatformSample sample_platform(analysis::AnalysisCache& cache, int m,
+                               const std::vector<int>& device_units) {
+  const Frac bound = cache.r_platform(m, device_units);
+  PlatformSample sample;
+  sample.bound = bound.to_double();
+  sample.makespans.reserve(sim::all_policies().size());
+  sim::SimConfig sim_config;
+  sim_config.cores = m;
+  sim_config.device_units = device_units;
+  // The cache's arena view is shared across every policy and m of this DAG
+  // (no Dag, no CSR snapshot is ever built), and per-run trace validation
+  // is off in the Monte-Carlo loop — the makespan-only recorder path —
+  // while the property tests simulate the same policies with validation
+  // on.
+  sim_config.validate = false;
+  for (const auto policy : sim::all_policies()) {
+    sim_config.policy = policy;
+    const graph::Time observed =
+        sim::simulated_makespan(cache.flat_view(), sim_config);
+    sample.makespans.push_back(static_cast<double>(observed));
+    sample.worst = std::max(sample.worst, static_cast<double>(observed));
+    if (Frac(observed) > bound) sample.violated = true;
+  }
+  return sample;
+}
 
 Fig10Result run_fig10(const Fig10Config& config) {
   HEDRA_REQUIRE(!config.devices.empty(), "fig10 needs at least one K value");
@@ -43,61 +52,23 @@ Fig10Result run_fig10(const Fig10Config& config) {
   }
 
   Fig10Result result;
-  for (const auto policy : sim::all_policies()) {
-    result.policy_names.emplace_back(sim::to_string(policy));
-  }
-
   result.rows = runner.sweep(
       points,
       [](analysis::AnalysisCache& cache, int m) {
-        const Frac bound = cache.r_platform(m);
-        Fig10Sample sample;
-        sample.bound = bound.to_double();
-        sample.makespans.reserve(sim::all_policies().size());
-        for (const auto policy : sim::all_policies()) {
-          sim::SimConfig sim_config;
-          sim_config.cores = m;
-          sim_config.policy = policy;
-          // The cache's arena view is shared across the whole 5-policy ×
-          // 4-m sweep of this DAG (no Dag, no CSR snapshot is ever built),
-          // and per-run trace validation is off in the Monte-Carlo loop —
-          // the makespan-only recorder path — while the property tests
-          // simulate the same policies with validation on.
-          sim_config.validate = false;
-          const graph::Time observed =
-              sim::simulated_makespan(cache.flat_view(), sim_config);
-          sample.makespans.push_back(static_cast<double>(observed));
-          sample.worst = std::max(sample.worst,
-                                  static_cast<double>(observed));
-          if (Frac(observed) > bound) sample.violated = true;
-        }
-        return sample;
+        return sample_platform(cache, m, {});
       },
       [](const SweepPoint& point, int m,
-         const std::vector<Fig10Sample>& samples) {
+         const std::vector<PlatformSample>& samples) {
         Fig10Row row;
         row.devices = point.batch.params.num_devices;
         row.ratio = point.ratio;
         row.m = m;
-        const std::size_t num_policies = sim::all_policies().size();
-        row.mean_makespan.assign(num_policies, 0.0);
-        std::vector<double> bounds, slacks;
-        bounds.reserve(samples.size());
-        slacks.reserve(samples.size());
-        for (const auto& sample : samples) {
-          bounds.push_back(sample.bound);
-          slacks.push_back(100.0 * (sample.bound - sample.worst) /
-                           sample.bound);
-          for (std::size_t p = 0; p < num_policies; ++p) {
-            row.mean_makespan[p] +=
-                sample.makespans[p] / static_cast<double>(samples.size());
-          }
-          row.max_sim_over_bound = std::max(row.max_sim_over_bound,
-                                            sample.worst / sample.bound);
-          if (sample.violated) ++row.violations;
-        }
-        row.mean_bound = stats::mean(bounds);
-        row.mean_slack_pct = stats::mean(slacks);
+        reduce_platform_cell(
+            samples.size(),
+            [&samples](std::size_t i) -> const PlatformSample& {
+              return samples[i];
+            },
+            row);
         return row;
       });
 

@@ -19,11 +19,15 @@
 /// Built as a thin Runner::sweep config like figs 6–9, so `--jobs N` output
 /// is bit-identical to `--jobs 1`.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analysis/analysis_cache.h"
 #include "exp/experiment.h"
+#include "sim/scheduler.h"
+#include "stats/descriptive.h"
 
 namespace hedra::exp {
 
@@ -39,9 +43,9 @@ struct Fig10Config {
   int jobs = 1;  ///< worker threads; <= 0 picks the hardware default
 };
 
-/// One (K, ratio, m) cell.
-struct Fig10Row {
-  int devices = 0;
+/// One (ratio, m) cell of a platform sweep (fig10, and fig11 per unit
+/// vector): the platform bound against every work-conserving policy.
+struct PlatformCell {
   double ratio = 0.0;
   int m = 0;
   double mean_bound = 0.0;  ///< mean R_plat over the batch
@@ -51,6 +55,11 @@ struct Fig10Row {
   double max_sim_over_bound = 0.0;  ///< max simulated/bound (soundness: <= 1)
   double mean_slack_pct = 0.0;  ///< mean 100·(bound − worst sim)/bound
   int violations = 0;  ///< exact-rational bound violations (must be 0)
+};
+
+/// One (K, ratio, m) cell.
+struct Fig10Row : PlatformCell {
+  int devices = 0;
 };
 
 /// Per-(K, m) shape summary.
@@ -65,9 +74,48 @@ struct Fig10Summary {
 struct Fig10Result {
   std::vector<Fig10Row> rows;
   std::vector<Fig10Summary> summaries;
-  std::vector<std::string> policy_names;  ///< column labels for the rows
 };
 
 [[nodiscard]] Fig10Result run_fig10(const Fig10Config& config);
+
+/// One DAG's measurement at core count m and a per-class unit vector: the
+/// platform bound and one simulated makespan per ready-queue policy.
+struct PlatformSample {
+  double bound = 0.0;
+  std::vector<double> makespans;  ///< aligned with sim::all_policies()
+  double worst = 0.0;             ///< max of makespans
+  bool violated = false;          ///< some makespan exceeded the bound
+};
+
+/// The sampler of fig10 and fig11: R_plat(m, device_units) against every
+/// policy simulated on `device_units` units per class (empty = one each).
+[[nodiscard]] PlatformSample sample_platform(
+    analysis::AnalysisCache& cache, int m,
+    const std::vector<int>& device_units);
+
+/// The cell reducer of fig10 and fig11: folds the batch's samples, where
+/// `sample(i)` is DAG i's, into `cell` (whose ratio and m the caller sets).
+template <typename SampleAt>
+void reduce_platform_cell(std::size_t count, SampleAt&& sample,
+                          PlatformCell& cell) {
+  const auto n = static_cast<double>(count);
+  cell.mean_makespan.assign(sim::all_policies().size(), 0.0);
+  std::vector<double> bounds, slacks;
+  bounds.reserve(count);
+  slacks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const PlatformSample& s = sample(i);
+    bounds.push_back(s.bound);
+    slacks.push_back(100.0 * (s.bound - s.worst) / s.bound);
+    for (std::size_t p = 0; p < cell.mean_makespan.size(); ++p) {
+      cell.mean_makespan[p] += s.makespans[p] / n;
+    }
+    cell.max_sim_over_bound =
+        std::max(cell.max_sim_over_bound, s.worst / s.bound);
+    if (s.violated) ++cell.violations;
+  }
+  cell.mean_bound = stats::mean(bounds);
+  cell.mean_slack_pct = stats::mean(slacks);
+}
 
 }  // namespace hedra::exp

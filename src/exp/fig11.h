@@ -5,15 +5,16 @@
 /// sweep the n_d generalisation unlocks.  For a fixed number K of
 /// accelerator classes, a grid of total offloaded ratios and the paper's
 /// core counts, random multi-device DAGs are generated once per (ratio)
-/// point and then evaluated under every unit count n ∈ `units` applied
-/// symmetrically to all K classes: the generalised bound R_plat(n)
-/// (vol_d/n_d device terms + mixed-weight chain walk) against the simulated
-/// makespan of every work-conserving ready-queue policy running on n units
-/// per device (sim::SimConfig::device_units).
+/// point and then evaluated under every per-class unit vector of
+/// `unit_vectors`: the generalised bound R_plat(n_d) (vol_d/n_d device
+/// terms + mixed-weight chain walk) against the simulated makespan of every
+/// work-conserving ready-queue policy running on those units
+/// (sim::SimConfig::device_units) — fig10's sampler and cell reducer at
+/// other unit vectors.
 ///
-/// Because the SAME batch is reused for every n, the per-row deltas isolate
-/// the multiplicity effect: how much the bound tightens (vol_d/n_d shrinks,
-/// the (n_d−1)/n_d chain weight grows) and how much the simulated
+/// Because the SAME batch is reused for every vector, the per-row deltas
+/// isolate the multiplicity effect: how much the bound tightens (vol_d/n_d
+/// shrinks, the (n_d−1)/n_d chain weight grows) and how much the simulated
 /// schedules actually speed up when devices stop serialising.  Soundness is
 /// counted per cell with exact rationals and must be zero, exactly as in
 /// fig10.
@@ -25,20 +26,16 @@
 #include <string>
 #include <vector>
 
-#include "exp/experiment.h"
+#include "exp/fig10.h"
 
 namespace hedra::exp {
 
 struct Fig11Config {
-  int devices = 2;                   ///< K accelerator classes (fixed)
-  std::vector<int> units = {1, 2, 3};  ///< n_d values swept (symmetric)
-  /// ASYMMETRIC sweep: when non-empty, these explicit per-class unit
-  /// vectors (each of size `devices`, entries >= 1) replace the symmetric
-  /// expansion of `units` — e.g. {{2, 1}, {3, 1}} gives one multi-unit
-  /// class and one serial class per row, the configuration the analysis
-  /// and simulator always accepted but the grid could not express.  Empty
-  /// (the default) keeps the symmetric sweep byte-identical.
-  std::vector<std::vector<int>> unit_vectors;
+  int devices = 2;  ///< K accelerator classes (fixed)
+  /// The swept per-class unit vectors, each of size `devices` with entries
+  /// >= 1: all-equal vectors give the symmetric n_d grid, and e.g.
+  /// {{2, 1}, {3, 1}} one multi-unit class and one serial class per row.
+  std::vector<std::vector<int>> unit_vectors = {{1, 1}, {2, 2}, {3, 3}};
   std::vector<double> ratios = {0.10, 0.20, 0.30, 0.40};
   std::vector<int> cores = paper_core_counts();
   gen::HierarchicalParams params =
@@ -51,28 +48,15 @@ struct Fig11Config {
   int jobs = 1;  ///< worker threads; <= 0 picks the hardware default
 };
 
-/// One (units, ratio, m) cell.
-struct Fig11Row {
-  /// n_d applied to every device class; -1 for an asymmetric unit vector
-  /// (see unit_vector).
-  int units = 0;
+/// One (unit vector, ratio, m) cell.
+struct Fig11Row : PlatformCell {
   /// The per-class unit vector of this row (all-equal for symmetric rows).
   std::vector<int> unit_vector;
-  double ratio = 0.0;
-  int m = 0;
-  double mean_bound = 0.0;         ///< mean R_plat(n_d) over the batch
   double mean_bound_single = 0.0;  ///< mean R_plat with n_d = 1 (reference)
-  /// Mean simulated makespan per ready-queue policy, aligned with
-  /// sim::all_policies().
-  std::vector<double> mean_makespan;
-  double max_sim_over_bound = 0.0;  ///< max simulated/bound (soundness: <= 1)
-  double mean_slack_pct = 0.0;  ///< mean 100·(bound − worst sim)/bound
-  int violations = 0;  ///< exact-rational bound violations (must be 0)
 };
 
-/// Per-(units, m) shape summary.
+/// Per-(unit vector, m) shape summary.
 struct Fig11Summary {
-  int units = 0;                 ///< -1 for an asymmetric unit vector
   std::vector<int> unit_vector;  ///< per-class units of this summary
   int m = 0;
   double max_sim_over_bound = 0.0;  ///< over the whole ratio grid
@@ -84,10 +68,8 @@ struct Fig11Summary {
 };
 
 struct Fig11Result {
-  int devices = 0;  ///< K used for every row
   std::vector<Fig11Row> rows;
   std::vector<Fig11Summary> summaries;
-  std::vector<std::string> policy_names;  ///< column labels for the rows
 };
 
 [[nodiscard]] Fig11Result run_fig11(const Fig11Config& config);

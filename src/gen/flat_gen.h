@@ -31,9 +31,14 @@ namespace hedra::gen {
 
 /// Runs the rejection-sampled fork–join recursion once and leaves the
 /// accepted attempt in `staged` (host-only nodes, edges in recursion
-/// order); generate_hierarchical materialises the same draw.  Throws
-/// hedra::Error if `params` is invalid or the node window is not hit within
-/// max_attempts tries.
+/// order).  In the style of Melani et al. [12], a node expands, with
+/// probability p_par and while below max_depth, into a parallel sub-DAG —
+/// a fork node, k ∈ [2, n_par] recursively expanded branches, and a join
+/// node — and otherwise into a terminal node; WCETs are uniform integers in
+/// [wcet_min, wcet_max].  The result has a single source and a single sink,
+/// is acyclic and transitive-edge-free by construction, and its longest
+/// path has at most 2·max_depth + 1 nodes.  Throws hedra::Error if `params`
+/// is invalid or the node window is not hit within max_attempts tries.
 void generate_hierarchical_staged(const HierarchicalParams& params, Rng& rng,
                                   graph::StagedDag& staged);
 

@@ -32,7 +32,7 @@ struct HierarchicalParams {
   Time wcet_max = 100;    ///< C_max
   int max_attempts = 100000;  ///< generation retries before giving up
 
-  // -- Multi-device knobs (see gen/flat_gen.h).  generate_hierarchical
+  // -- Multi-device knobs (see gen/flat_gen.h).  generate_hierarchical_flat
   //    itself produces pure host DAGs and ignores these;
   //    generate_multi_device_flat and exp::generate_flat_batch consume them.
   //    num_devices = 0 keeps the paper's pipeline (one offload node,

@@ -1,6 +1,5 @@
 #include "graph/algorithms.h"
 
-#include <algorithm>
 #include <queue>
 
 namespace hedra::graph {
@@ -97,26 +96,6 @@ std::vector<std::pair<NodeId, NodeId>> transitive_edges(const Dag& dag) {
         }
       }
     }
-  }
-  return out;
-}
-
-Dag transitive_reduction(const Dag& dag) {
-  Dag out;
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    out.add_node(dag.node(v));
-  }
-  // transitive_edges returns edges grouped by source ascending and, within
-  // a source, in adjacency order — not a sorted sequence.  Sort once and
-  // binary-search each edge (the historical std::find made this O(E·R)).
-  auto redundant = transitive_edges(dag);
-  std::sort(redundant.begin(), redundant.end());
-  const auto is_redundant = [&](NodeId u, NodeId w) {
-    return std::binary_search(redundant.begin(), redundant.end(),
-                              std::make_pair(u, w));
-  };
-  for (const auto& [u, w] : dag.edges()) {
-    if (!is_redundant(u, w)) out.add_edge(u, w);
   }
   return out;
 }

@@ -34,7 +34,4 @@ namespace hedra::graph {
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> transitive_edges(
     const Dag& dag);
 
-/// Copy of `dag` with all transitive edges removed.  Node ids are preserved.
-[[nodiscard]] Dag transitive_reduction(const Dag& dag);
-
 }  // namespace hedra::graph

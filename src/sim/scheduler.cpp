@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -499,21 +498,6 @@ ScheduleTrace simulate_with_times(const graph::FlatView& view,
                                   const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
   return run_traced(view, config, &actual_times);
-}
-
-std::vector<Time> random_actual_times(const Dag& dag, double scale_min,
-                                      Rng& rng) {
-  HEDRA_REQUIRE(scale_min >= 0.0 && scale_min <= 1.0,
-                "scale_min must lie in [0, 1]");
-  std::vector<Time> actual(dag.num_nodes());
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    const Time wcet = dag.wcet(v);
-    if (wcet == 0) continue;
-    const Time lo = static_cast<Time>(
-        std::ceil(scale_min * static_cast<double>(wcet)));
-    actual[v] = rng.uniform_int(std::max<Time>(0, lo), wcet);
-  }
-  return actual;
 }
 
 }  // namespace hedra::sim

@@ -131,12 +131,6 @@ struct SimConfig {
     const graph::FlatView& view, const SimConfig& config,
     const std::vector<Time>& actual_times);
 
-/// Draws actual times uniformly from [ceil(scale_min·WCET), WCET] per node
-/// (zero-WCET nodes stay zero) — a convenience for anomaly sweeps.
-[[nodiscard]] std::vector<Time> random_actual_times(const Dag& dag,
-                                                    double scale_min,
-                                                    Rng& rng);
-
 /// One job of a run_jobs call: an instance of task `task`'s graph whose
 /// roots become ready at `time`.
 struct Release {

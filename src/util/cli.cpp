@@ -1,6 +1,5 @@
 #include "util/cli.h"
 
-#include <iostream>
 #include <sstream>
 
 #include "util/error.h"
@@ -75,11 +74,11 @@ void ArgParser::assign(Option& opt, const std::string& value) {
   }
 }
 
-bool ArgParser::parse(int argc, const char* const* argv) {
+bool ArgParser::parse(int argc, const char* const* argv, std::ostream& out) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::cout << usage();
+      out << usage();
       return false;
     }
     HEDRA_REQUIRE(starts_with(arg, "--"),

@@ -6,6 +6,7 @@
 /// rejects unknown options so typos in experiment sweeps fail loudly.
 
 #include <cstdint>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,9 +31,10 @@ class ArgParser {
                           const std::string& default_value,
                           const std::string& help);
 
-  /// Parses argv.  Returns false (after printing usage) if `--help` was
-  /// requested.  Throws hedra::Error on unknown/malformed options.
-  bool parse(int argc, const char* const* argv);
+  /// Parses argv.  Returns false (after printing usage to `out`) if
+  /// `--help` was requested.  Throws hedra::Error on unknown/malformed
+  /// options.
+  bool parse(int argc, const char* const* argv, std::ostream& out = std::cout);
 
   /// Usage text.
   [[nodiscard]] std::string usage() const;

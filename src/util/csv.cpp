@@ -13,13 +13,6 @@ void CsvWriter::row(const std::vector<std::string>& fields) {
   ++rows_;
 }
 
-void CsvWriter::row(std::initializer_list<std::string_view> fields) {
-  std::vector<std::string> owned;
-  owned.reserve(fields.size());
-  for (const auto f : fields) owned.emplace_back(f);
-  row(owned);
-}
-
 std::string CsvWriter::escape(std::string_view field) const {
   const bool needs_quotes =
       field.find(sep_) != std::string_view::npos ||

@@ -4,7 +4,6 @@
 /// Minimal CSV writer for experiment output.  Fields containing separators,
 /// quotes or newlines are quoted per RFC 4180.
 
-#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -19,32 +18,10 @@ class CsvWriter {
 
   /// Writes one row; values are escaped as needed.
   void row(const std::vector<std::string>& fields);
-  void row(std::initializer_list<std::string_view> fields);
-
-  /// Convenience: builds a row from heterogeneous printable values.
-  template <typename... Ts>
-  void cells(const Ts&... values) {
-    std::vector<std::string> fields;
-    fields.reserve(sizeof...(values));
-    (fields.push_back(to_field(values)), ...);
-    row(fields);
-  }
 
   [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 
  private:
-  static std::string to_field(const std::string& s) { return s; }
-  static std::string to_field(std::string_view s) { return std::string(s); }
-  static std::string to_field(const char* s) { return s; }
-  template <typename T>
-  static std::string to_field(const T& v) {
-    if constexpr (std::is_floating_point_v<T>) {
-      return std::to_string(v);
-    } else {
-      return std::to_string(v);
-    }
-  }
-
   std::string escape(std::string_view field) const;
 
   std::ostream& os_;

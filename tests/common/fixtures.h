@@ -4,12 +4,20 @@
 /// Shared task-graph fixtures for the test suite, including the paper's
 /// running example (Figures 1 and 2) reconstructed so that every number the
 /// text states is reproduced, and the transformation walk-through of
-/// Figure 3.
+/// Figure 3.  Also two test-only helpers no program needs: the transitive
+/// reduction of a graph and random early-completion times.
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "graph/algorithms.h"
 #include "graph/dag.h"
+#include "util/error.h"
+#include "util/rng.h"
 
 namespace hedra::testing {
 
@@ -194,6 +202,47 @@ inline Dag chain(int n, graph::Time wcet) {
     prev = v;
   }
   return dag;
+}
+
+/// Copy of `dag` with all transitive edges removed.  Node ids are preserved.
+inline Dag transitive_reduction(const Dag& dag) {
+  Dag out;
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+    out.add_node(dag.node(v));
+  }
+  // transitive_edges returns edges grouped by source ascending and, within
+  // a source, in adjacency order — not a sorted sequence.  Sort once and
+  // binary-search each edge (the historical std::find made this O(E·R)).
+  auto redundant = graph::transitive_edges(dag);
+  std::sort(redundant.begin(), redundant.end());
+  const auto is_redundant = [&](NodeId u, NodeId w) {
+    return std::binary_search(redundant.begin(), redundant.end(),
+                              std::make_pair(u, w));
+  };
+  for (const auto& [u, w] : dag.edges()) {
+    if (!is_redundant(u, w)) out.add_edge(u, w);
+  }
+  return out;
+}
+
+/// Draws actual times uniformly from [ceil(scale_min·WCET), WCET] per node
+/// (zero-WCET nodes stay zero), the early-completion runs of the anomaly
+/// and property tests (sim::simulate_with_times).
+inline std::vector<graph::Time> random_actual_times(const Dag& dag,
+                                                    double scale_min,
+                                                    Rng& rng) {
+  HEDRA_REQUIRE(scale_min >= 0.0 && scale_min <= 1.0,
+                "scale_min must lie in [0, 1]");
+  using graph::Time;
+  std::vector<Time> actual(dag.num_nodes());
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+    const Time wcet = dag.wcet(v);
+    if (wcet == 0) continue;
+    const Time lo = static_cast<Time>(
+        std::ceil(scale_min * static_cast<double>(wcet)));
+    actual[v] = rng.uniform_int(std::max<Time>(0, lo), wcet);
+  }
+  return actual;
 }
 
 }  // namespace hedra::testing

@@ -15,8 +15,10 @@
 ///
 /// `legacy_generate_batch` runs these steps over the replication fork
 /// chain.  It is the referee of the arena generators' determinism
-/// contract (tests/gen/flat_gen_test.cpp), so it must never call
-/// `exp::generate_batch` or anything in gen/flat_gen.h.
+/// contract (tests/gen/flat_gen_test.cpp), so the one thing it shares with
+/// gen/flat_gen.h is the fork–join recursion, generate_hierarchical_staged,
+/// whose draw generate_hierarchical materialises as a Dag; it must never
+/// call `exp::generate_batch` or a `generate_*_flat` entry point.
 
 #include <algorithm>
 #include <cmath>
@@ -26,13 +28,32 @@
 #include <vector>
 
 #include "exp/experiment.h"
-#include "gen/hierarchical.h"
+#include "gen/flat_gen.h"
 #include "gen/params.h"
 #include "graph/dag.h"
+#include "graph/flat_batch.h"
 #include "util/error.h"
 #include "util/rng.h"
 
 namespace hedra::gen {
+
+/// Generates one plain hierarchical (host-only) DAG: the accepted draw of
+/// generate_hierarchical_staged, built as a Dag.  Throws hedra::Error if
+/// `params` is invalid or no graph within the node window is found in
+/// max_attempts tries.
+inline graph::Dag generate_hierarchical(const HierarchicalParams& params,
+                                        Rng& rng) {
+  // The rejection loop runs in reusable staging buffers (no Dag per
+  // rejected attempt); only the accepted attempt materialises.
+  thread_local graph::StagedDag staged;
+  generate_hierarchical_staged(params, rng, staged);
+  graph::Dag dag;
+  for (std::size_t v = 0; v < staged.num_nodes(); ++v) {
+    (void)dag.add_node(staged.wcet[v]);
+  }
+  for (const auto& [from, to] : staged.edges) dag.add_edge(from, to);
+  return dag;
+}
 
 /// Marks a uniformly chosen internal node (neither source nor sink) as the
 /// offloaded node and returns its id.  Requires a valid single-source/sink

@@ -8,7 +8,6 @@
 #include "common/legacy_gen.h"
 #include "exact/bounds.h"
 #include "exact/list_heuristics.h"
-#include "gen/hierarchical.h"
 #include "util/error.h"
 #include "util/rng.h"
 

@@ -2,8 +2,9 @@
 
 #include <cstdio>
 
+#include "common/figure_cli.h"
 #include "exp/fig10.h"
-#include "exp/report.h"
+#include "exp/figures.h"
 
 /// Scaled-down fig10 runs: structure of the result, soundness of every cell
 /// (the acceptance criterion "no policy above the bound" is counted inside
@@ -28,10 +29,9 @@ TEST(Fig10HarnessTest, ProducesAllCellsAndSummaries) {
   // devices × ratios × cores cells, devices × cores summaries.
   EXPECT_EQ(result.rows.size(), 8u);
   EXPECT_EQ(result.summaries.size(), 4u);
-  EXPECT_EQ(result.policy_names.size(), 5u);
   for (const auto& row : result.rows) {
     EXPECT_GT(row.mean_bound, 0.0);
-    ASSERT_EQ(row.mean_makespan.size(), result.policy_names.size());
+    ASSERT_EQ(row.mean_makespan.size(), 5u);  // one per policy
     for (const double makespan : row.mean_makespan) {
       EXPECT_GT(makespan, 0.0);
       EXPECT_LE(makespan, row.mean_bound + 1e-9);
@@ -69,23 +69,30 @@ TEST(Fig10HarnessTest, ParallelRunsAreBitIdenticalToSerial) {
   parallel.jobs = 4;
   const Fig10Result a = run_fig10(serial);
   const Fig10Result b = run_fig10(parallel);
-  EXPECT_EQ(render_fig10(a), render_fig10(b));
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(a.rows[i].mean_bound, b.rows[i].mean_bound);
     EXPECT_EQ(a.rows[i].mean_makespan, b.rows[i].mean_makespan);
     EXPECT_EQ(a.rows[i].max_sim_over_bound, b.rows[i].max_sim_over_bound);
+    EXPECT_EQ(a.rows[i].mean_slack_pct, b.rows[i].mean_slack_pct);
+    EXPECT_EQ(a.rows[i].violations, b.rows[i].violations);
   }
 }
 
 TEST(Fig10HarnessTest, RendersAndExportsCsv) {
-  const Fig10Result result = run_fig10(small_config());
-  const std::string text = render_fig10(result);
-  EXPECT_NE(text.find("R_plat"), std::string::npos);
-  EXPECT_NE(text.find("worst/bound"), std::string::npos);
-  EXPECT_NE(text.find("violations 0"), std::string::npos);
   const std::string path = ::testing::TempDir() + "/f10.csv";
-  write_fig10_csv(result, path);
+  const auto run = hedra::testing::run_cli(
+      fig10_figure(), {"--dags", "3", "--max-devices", "2", "--min-nodes",
+                       "30", "--max-nodes", "80", "--jobs", "1", "--csv",
+                       path});
+  EXPECT_EQ(run.status, 0);
+  EXPECT_NE(run.out.find("R_plat"), std::string::npos);
+  EXPECT_NE(run.out.find("worst/bound"), std::string::npos);
+  EXPECT_NE(run.out.find("violations 0"), std::string::npos);
+  // A header, then K × ratios × m = 2 × 5 × 4 rows.
+  const auto lines = hedra::testing::read_lines(path);
+  ASSERT_EQ(lines.size(), 41u);
+  EXPECT_EQ(lines[0].rfind("devices,coff_ratio,m,mean_bound,", 0), 0u);
   std::remove(path.c_str());
 }
 

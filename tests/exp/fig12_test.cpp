@@ -3,8 +3,9 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/figure_cli.h"
 #include "exp/fig12.h"
-#include "exp/report.h"
+#include "exp/figures.h"
 
 /// Scaled-down fig12 runs: structure of the result, exact-rational
 /// soundness of the contention bounds against the taskset simulator in
@@ -89,7 +90,6 @@ TEST(Fig12HarnessTest, ParallelRunsAreBitIdenticalToSerial) {
   parallel.jobs = 4;
   const Fig12Result a = run_fig12(serial);
   const Fig12Result b = run_fig12(parallel);
-  EXPECT_EQ(render_fig12(a), render_fig12(b));
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(a.rows[i].admitted, b.rows[i].admitted);
@@ -102,13 +102,17 @@ TEST(Fig12HarnessTest, ParallelRunsAreBitIdenticalToSerial) {
 }
 
 TEST(Fig12HarnessTest, RendersAndExportsCsv) {
-  const Fig12Result result = run_fig12(small_config());
-  const std::string text = render_fig12(result);
-  EXPECT_NE(text.find("accepted"), std::string::npos);
-  EXPECT_NE(text.find("worst obs/bound"), std::string::npos);
-  EXPECT_NE(text.find("violations 0"), std::string::npos);
   const std::string path = ::testing::TempDir() + "/f12.csv";
-  write_fig12_csv(result, path);
+  const auto run = hedra::testing::run_cli(
+      fig12_figure(), {"--quick", "--jobs", "1", "--csv", path});
+  EXPECT_EQ(run.status, 0);
+  EXPECT_NE(run.out.find("accepted"), std::string::npos);
+  EXPECT_NE(run.out.find("worst obs/bound"), std::string::npos);
+  EXPECT_NE(run.out.find("violations 0"), std::string::npos);
+  // A header, then U × K × n_d × m = 2 × 2 × 2 × 1 rows.
+  const auto lines = hedra::testing::read_lines(path);
+  ASSERT_EQ(lines.size(), 9u);
+  EXPECT_EQ(lines[0].rfind("devices,units,m,utilization,tasksets,", 0), 0u);
   std::remove(path.c_str());
 }
 

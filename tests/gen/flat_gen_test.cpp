@@ -13,7 +13,6 @@
 
 #include "common/legacy_gen.h"
 #include "exp/experiment.h"
-#include "gen/hierarchical.h"
 #include "graph/flat_dag.h"
 
 namespace hedra::gen {

@@ -1,10 +1,9 @@
-#include "gen/hierarchical.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "common/legacy_gen.h"
 #include "graph/algorithms.h"
 #include "graph/validate.h"
 #include "util/error.h"

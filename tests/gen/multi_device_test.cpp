@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/legacy_gen.h"
-#include "gen/hierarchical.h"
 #include "graph/validate.h"
 #include "util/rng.h"
 

@@ -4,7 +4,6 @@
 
 #include "common/fixtures.h"
 #include "common/legacy_gen.h"
-#include "gen/hierarchical.h"
 #include "graph/validate.h"
 #include "util/error.h"
 

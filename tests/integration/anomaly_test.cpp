@@ -5,7 +5,6 @@
 #include "common/fixtures.h"
 #include "common/legacy_gen.h"
 #include "graph/dag_io.h"
-#include "gen/hierarchical.h"
 #include "graph/flat_dag.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
@@ -19,9 +18,7 @@
 ///
 /// Every draw × policy run of a sweep simulates the SAME frozen graph, so
 /// the sweeps batch their simulate_with_times calls over one
-/// AnalysisCache CSR snapshot per DAG instead of re-snapshotting per call
-/// (15 snapshots per DAG before; BM_SimulateWithTimes in
-/// bench/micro_algorithms times this shape).
+/// AnalysisCache CSR snapshot per DAG instead of re-snapshotting per call.
 
 namespace hedra {
 namespace {
@@ -50,7 +47,7 @@ TEST_P(AnomalySweep, EarlyCompletionNeverBreaksRhom) {
     analysis::AnalysisCache cache(dag);
     const Frac r_hom = cache.r_hom(m);
     for (int draw = 0; draw < 3; ++draw) {
-      const auto actual = sim::random_actual_times(dag, 0.2, rng);
+      const auto actual = testing::random_actual_times(dag, 0.2, rng);
       for (const auto policy : kPolicies) {
         sim::SimConfig config;
         config.cores = m;
@@ -82,7 +79,7 @@ TEST_P(AnomalySweep, EarlyCompletionNeverBreaksRhet) {
     const Frac r_het = cache.r_het(m);
     for (int draw = 0; draw < 3; ++draw) {
       const auto actual =
-          sim::random_actual_times(cache.transformed(), 0.2, rng);
+          testing::random_actual_times(cache.transformed(), 0.2, rng);
       for (const auto policy : kPolicies) {
         sim::SimConfig config;
         config.cores = m;
@@ -162,7 +159,7 @@ TEST(AnomalyTest, RandomActualTimesRespectBounds) {
   const auto ex = testing::fig3_example();
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
-    const auto actual = sim::random_actual_times(ex.dag, 0.3, rng);
+    const auto actual = testing::random_actual_times(ex.dag, 0.3, rng);
     for (graph::NodeId v = 0; v < ex.dag.num_nodes(); ++v) {
       EXPECT_GE(actual[v], 0);
       EXPECT_LE(actual[v], ex.dag.wcet(v));

@@ -6,7 +6,8 @@
 #include "exp/fig7.h"
 #include "exp/fig8.h"
 #include "exp/fig9.h"
-#include "exp/report.h"
+#include "exp/figures.h"
+#include "common/figure_cli.h"
 
 /// Scaled-down versions of the four figure experiments: a handful of DAGs
 /// per point, coarse ratio grids.  These check the harness plumbing and the
@@ -123,37 +124,23 @@ TEST(Fig9HarnessTest, BenefitShrinksWithCores) {
 }
 
 TEST(ReportTest, RendersAndExportsEveryFigure) {
-  Fig6Config c6;
-  c6.cores = {2};
-  c6.ratios = {0.1};
-  c6.dags_per_point = 3;
-  c6.params.min_nodes = 10;
-  c6.params.max_nodes = 60;
-  const auto r6 = run_fig6(c6);
-  EXPECT_NE(render_fig6(r6).find("C_off/vol"), std::string::npos);
-
-  Fig8Config c8;
-  c8.cores = {2};
-  c8.ratios = {0.1};
-  c8.dags_per_point = 3;
-  c8.params.min_nodes = 10;
-  c8.params.max_nodes = 60;
-  const auto r8 = run_fig8(c8);
-  EXPECT_NE(render_fig8(r8).find("S2.1"), std::string::npos);
-
-  Fig9Config c9;
-  c9.cores = {2};
-  c9.ratios = {0.1};
-  c9.dags_per_point = 3;
-  c9.params.min_nodes = 10;
-  c9.params.max_nodes = 60;
-  const auto r9 = run_fig9(c9);
-  EXPECT_NE(render_fig9(r9).find("mean pct change"), std::string::npos);
-
-  const std::string dir = ::testing::TempDir();
-  write_fig6_csv(r6, dir + "/f6.csv");
-  write_fig8_csv(r8, dir + "/f8.csv");
-  write_fig9_csv(r9, dir + "/f9.csv");
+  // Each §5 figure CLI on a tiny batch: its table and CSV both come out.
+  const std::string path = ::testing::TempDir() + "/fig.csv";
+  const std::vector<std::string> small{"--dags",      "3",  "--min-nodes",
+                                       "10",          "--max-nodes", "60",
+                                       "--jobs",      "1",  "--csv",
+                                       path};
+  const std::vector<std::pair<Figure, std::string>> figures{
+      {fig6_figure(), "C_off/vol"},
+      {fig8_figure(), "S2.1"},
+      {fig9_figure(), "mean pct change"}};
+  for (const auto& [figure, column] : figures) {
+    const auto run = hedra::testing::run_cli(figure, small);
+    EXPECT_EQ(run.status, 0) << figure.program;
+    EXPECT_NE(run.out.find(column), std::string::npos) << figure.program;
+    // A header, then 4 m × the figure's ratio grid.
+    EXPECT_GT(hedra::testing::read_lines(path).size(), 4u) << figure.program;
+  }
 }
 
 }  // namespace

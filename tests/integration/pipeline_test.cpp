@@ -5,7 +5,6 @@
 #include "common/legacy_gen.h"
 #include "exact/bnb.h"
 #include "exp/experiment.h"
-#include "gen/hierarchical.h"
 #include "graph/dag_io.h"
 #include "graph/dot.h"
 #include "graph/validate.h"

@@ -8,7 +8,6 @@
 #include "common/legacy_gen.h"
 #include "exact/bnb.h"
 #include "exact/bounds.h"
-#include "gen/hierarchical.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "sim/scheduler.h"
@@ -148,7 +147,7 @@ TEST_P(SoundnessSweep, PlatformBoundDominatesEveryPolicyOnEveryDevice) {
         EXPECT_LE(Frac(observed), bound)
             << "K=" << num_devices << " m=" << m
             << " policy=" << sim::to_string(policy);
-        const auto actual = sim::random_actual_times(dag, 0.3, rng);
+        const auto actual = testing::random_actual_times(dag, 0.3, rng);
         const graph::Time early =
             sim::simulate_with_times(cache.flat_view(), config, actual)
                 .makespan();
@@ -195,7 +194,7 @@ TEST_P(SoundnessSweep, MultiUnitPlatformBoundDominatesEveryPolicy) {
           EXPECT_LE(Frac(observed), bound)
               << "K=" << num_devices << " units=" << units << " m=" << m
               << " policy=" << sim::to_string(policy);
-          const auto actual = sim::random_actual_times(dag, 0.3, rng);
+          const auto actual = testing::random_actual_times(dag, 0.3, rng);
           const graph::Time early =
               sim::simulate_with_times(cache.flat_view(), config, actual)
                   .makespan();

@@ -336,7 +336,7 @@ TEST(SchedulerTest, MultiUnitTracesValidateUnderEveryPolicyAndEarlyTimes) {
       config.device_units = {units, units};
       const ScheduleTrace trace = simulate(ex.dag, config);  // validates
       EXPECT_GT(trace.makespan(), 0);
-      const auto actual = random_actual_times(ex.dag, 0.4, rng);
+      const auto actual = testing::random_actual_times(ex.dag, 0.4, rng);
       const ScheduleTrace early =
           simulate_with_times(flat.view(), config, actual);
       EXPECT_LE(early.makespan(), trace.makespan() + ex.dag.volume());

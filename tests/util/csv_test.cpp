@@ -43,14 +43,6 @@ TEST(CsvTest, CustomSeparator) {
   EXPECT_EQ(os.str(), "\"a;b\";c\n");
 }
 
-TEST(CsvTest, CellsMixedTypes) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.cells("label", 42, 0.5);
-  const std::string line = os.str();
-  EXPECT_TRUE(line.find("label,42,") == 0) << line;
-}
-
 TEST(CsvTest, EmptyRow) {
   std::ostringstream os;
   CsvWriter csv(os);
