@@ -9,8 +9,9 @@
 ///
 /// 2. Analysis-variant ablation.  For the same instances: R_hom (Eq. 1),
 ///    R_het (Theorem 1), min(R_hom, R_het), the unsound naive subtraction
-///    (§3.2, reported for reference only), and the two-resource chain bound
-///    of analysis/multi_offload.h.
+///    (§3.2, reported for reference only), and the chain bound of
+///    analysis/platform_rta.h (two resources here: host cores and the one
+///    accelerator).
 ///
 /// Both ablations run on the exp::Runner engine (--jobs N fans the per-DAG
 /// work out over a thread pool; output is identical for any N).

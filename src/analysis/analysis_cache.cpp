@@ -1,8 +1,38 @@
 #include "analysis/analysis_cache.h"
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 namespace hedra::analysis {
+
+namespace {
+
+/// len and vol of G_par, which Algorithm 1 defines as the subgraph of τ
+/// induced by the nodes parallel to v_off: one pass over τ's view that
+/// skips every other node, so G_par needs no snapshot of its own.
+/// Non-members keep up = 0, so they never extend a member's path.
+std::pair<graph::Time, graph::Time> gpar_len_vol(const graph::FlatView& view,
+                                                 const graph::Subgraph& gpar) {
+  std::vector<graph::Time> up(view.num_nodes(), 0);
+  graph::Time len = 0;
+  graph::Time vol = 0;
+  for (const graph::NodeId v : view.topological_order()) {
+    if (gpar.from_parent[v] == graph::kInvalidNode) continue;
+    graph::Time best = 0;
+    for (const graph::NodeId p : view.predecessors(v)) {
+      best = std::max(best, up[p]);
+    }
+    up[v] = best + view.wcet(v);
+    len = std::max(len, up[v]);
+    vol += view.wcet(v);
+  }
+  return {len, vol};
+}
+
+}  // namespace
 
 const Dag& AnalysisCache::original() {
   if (dag_ == nullptr) {
@@ -17,46 +47,28 @@ const TransformResult& AnalysisCache::transform() {
   return *transform_;
 }
 
-graph::FlatView AnalysisCache::flat_view() {
-  if (batch_ == nullptr && !flat_) {
-    flat_.emplace(*dag_);
-    view_ = flat_->view();
-  }
-  return view_;
-}
-
 graph::FlatView AnalysisCache::transformed_view() {
   if (!flat_transformed_) flat_transformed_.emplace(transformed());
   return flat_transformed_->view();
 }
 
 const graph::CriticalPathInfo& AnalysisCache::critical_path() {
-  if (!cp_transformed_) {
-    // Reuse the CSR snapshot when a sim call site already paid for it; the
-    // analysis-only sweeps (fig6/8/9) walk τ' exactly once, so forcing a
-    // snapshot for them would cost more than it saves.
-    if (flat_transformed_) {
-      cp_transformed_.emplace(flat_transformed_->view());
-    } else {
-      cp_transformed_.emplace(transformed());
-    }
-  }
+  // The one longest-path walk over G': quantities() reads it, and the
+  // snapshot it walks is the one the simulation call sites share.
+  if (!cp_transformed_) cp_transformed_.emplace(transformed_view());
   return *cp_transformed_;
 }
 
 const TheoremQuantities& AnalysisCache::quantities() {
   if (!quantities_) {
-    // Measured against the cached CriticalPathInfo so the longest-path
-    // pass over G' is shared with any other critical_path() user.
     const TransformResult& t = transform();
     const graph::CriticalPathInfo& info = critical_path();
     TheoremQuantities q{};
     q.len_trans = info.length();
-    q.vol = t.transformed.volume();
-    q.c_off = t.transformed.wcet(t.voff);
-    q.len_gpar = graph::critical_path_length(t.gpar.dag);
-    q.vol_gpar = t.gpar.dag.volume();
-    q.voff_critical = info.on_critical_path(t.transformed, t.voff);
+    q.vol = vol_original();
+    q.c_off = transformed_view().wcet(t.voff);
+    std::tie(q.len_gpar, q.vol_gpar) = gpar_len_vol(view_, t.gpar);
+    q.voff_critical = info.on_critical_path(t.voff, q.c_off);
     quantities_ = q;
   }
   return *quantities_;
@@ -64,37 +76,26 @@ const TheoremQuantities& AnalysisCache::quantities() {
 
 const PlatformQuantities& AnalysisCache::platform_quantities() {
   if (!platform_quantities_) {
-    platform_quantities_ = analysis::platform_quantities(flat_view());
+    platform_quantities_ = analysis::platform_quantities(view_);
   }
   return *platform_quantities_;
 }
 
 graph::Time AnalysisCache::len_original() {
-  if (!len_original_) {
-    // Reuse the CSR data when already on hand — the arena view of a
-    // batch-backed cache, or a snapshot another quantity built; the
-    // pure-Theorem-1 path (fig6/8/9) never walks the original graph again,
-    // so it should not pay for materialising one.
-    len_original_ = batch_ != nullptr || flat_
-                        ? graph::critical_path_length(view_)
-                        : graph::critical_path_length(*dag_);
-  }
+  if (!len_original_) len_original_ = graph::critical_path_length(view_);
   return *len_original_;
 }
 
-Frac AnalysisCache::r_hom(int m) {
-  // vol(G) = vol(G'), and using the original graph keeps r_hom usable
-  // without forcing the transform.
+graph::Time AnalysisCache::vol_original() {
   if (!vol_original_) {
-    if (batch_ != nullptr) {
-      graph::Time vol = 0;
-      for (const graph::Time c : view_.wcets()) vol += c;
-      vol_original_ = vol;
-    } else {
-      vol_original_ = dag_->volume();
-    }
+    const auto wcets = view_.wcets();
+    vol_original_ = std::accumulate(wcets.begin(), wcets.end(), graph::Time{0});
   }
-  return rta_homogeneous(len_original(), *vol_original_, m);
+  return *vol_original_;
+}
+
+Frac AnalysisCache::r_hom(int m) {
+  return rta_homogeneous(len_original(), vol_original(), m);
 }
 
 Frac AnalysisCache::r_hom_gpar(int m) {
@@ -112,7 +113,7 @@ Frac AnalysisCache::r_het(int m) {
 
 Frac AnalysisCache::r_platform(int m, std::span<const int> device_units,
                                std::span<const Frac> device_speedup) {
-  return platform_bound(platform_quantities(), flat_view(), m, device_units,
+  return platform_bound(platform_quantities(), view_, m, device_units,
                         device_speedup);
 }
 

@@ -16,10 +16,13 @@
 /// Every graph walk runs over one CSR view per graph — flat_view() for τ,
 /// transformed_view() for τ' — and the platform bound is the one producer /
 /// evaluator pair of analysis/platform_rta.h memoised per DAG, so a cache
-/// and a direct platform_bound call return the same rational.
+/// and a direct platform_bound call return the same rational.  Only
+/// original() knows where τ came from: a Dag the cache snapshotted, or a
+/// slice of an arena batch.
 ///
-/// An instance references (does not copy) the DAG it analyses and is meant
-/// for single-threaded use; the experiment runner builds one cache per DAG
+/// An instance references (does not copy) the DAG it analyses, cannot be
+/// copied (its view may point into its own snapshot) and is meant for
+/// single-threaded use; the experiment runner builds one cache per DAG
 /// inside each worker task.
 
 #include <optional>
@@ -38,33 +41,37 @@ namespace hedra::analysis {
 
 class AnalysisCache {
  public:
-  /// Binds to `dag`, which must outlive the cache.  No work happens here;
-  /// every quantity is computed on first use.
-  explicit AnalysisCache(const Dag& dag) : dag_(&dag) {}
+  /// Binds to `dag`, which must outlive the cache, and snapshots it once;
+  /// every quantity is computed on first use.  Throws on cyclic input.
+  explicit AnalysisCache(const Dag& dag)
+      : dag_(&dag), flat_(std::in_place, dag), view_(flat_->view()) {}
 
   /// Binding to a temporary would dangle immediately.
   explicit AnalysisCache(Dag&&) = delete;
 
   /// Binds to DAG `index` of an arena batch (which must outlive the cache).
-  /// The platform-bound paths (flat_view, platform_quantities, r_platform)
-  /// then run straight over the arena with no Dag in sight; anything that
-  /// genuinely needs a Dag — the §3.4 transform, labels, r_hom's
-  /// Dag::volume — materialises one lazily, exactly once, via original().
+  /// The walks over τ then run straight over the arena with no Dag in
+  /// sight; only the §3.4 transform and labels need a Dag, and original()
+  /// materialises it lazily, exactly once.
   AnalysisCache(const graph::FlatDagBatch& batch, std::size_t index)
       : batch_(&batch), batch_index_(index), view_(batch.view(index)) {}
+
+  AnalysisCache(const AnalysisCache&) = delete;
+  AnalysisCache& operator=(const AnalysisCache&) = delete;
 
   /// The analysed Dag.  For an arena-backed cache the first call
   /// materialises it from the batch (labels included).
   [[nodiscard]] const Dag& original();
 
   /// CSR view of the ORIGINAL graph: the arena slice for a batch-backed
-  /// cache (no materialisation, no copy), otherwise a snapshot built once on
-  /// first use.  Every walk the cache performs on τ runs over this view, and
-  /// the simulation call sites share it, so a 5-policy × 4-m sweep
+  /// cache (no materialisation, no copy), otherwise the snapshot taken at
+  /// construction.  Every walk the cache performs on τ runs over this view,
+  /// and the simulation call sites share it, so a 5-policy × 4-m sweep
   /// snapshots the DAG once instead of twenty times.
-  [[nodiscard]] graph::FlatView flat_view();
+  [[nodiscard]] graph::FlatView flat_view() const noexcept { return view_; }
 
-  /// CSR view of the transformed graph τ' (forces the transform).
+  /// CSR view of the transformed graph τ' (forces the transform), snapshot
+  /// once.  Every walk the cache performs on τ' runs over this view.
   [[nodiscard]] graph::FlatView transformed_view();
 
   /// Algorithm 1 (validates the model preconditions on first call).
@@ -73,19 +80,14 @@ class AnalysisCache {
   /// G' = transform().transformed.
   [[nodiscard]] const Dag& transformed() { return transform().transformed; }
 
-  /// Longest-path data of G'.
+  /// Longest-path data of G', walked over transformed_view().
   [[nodiscard]] const graph::CriticalPathInfo& critical_path();
 
   /// The m-independent quantities of Theorem 1, measured once.
   [[nodiscard]] const TheoremQuantities& quantities();
 
+  /// len(G) of the original τ.
   [[nodiscard]] graph::Time len_original();
-  [[nodiscard]] graph::Time len_transformed() { return quantities().len_trans; }
-  [[nodiscard]] graph::Time volume() { return quantities().vol; }
-  [[nodiscard]] graph::Time c_off() { return quantities().c_off; }
-  [[nodiscard]] bool voff_on_critical_path() {
-    return quantities().voff_critical;
-  }
 
   /// Host/per-device volumes and the max host-weighted path of the ORIGINAL
   /// graph, measured once.  These feed r_platform and never force the
@@ -113,13 +115,16 @@ class AnalysisCache {
   [[nodiscard]] HetAnalysis analyze(int m) &&;
 
  private:
+  /// vol(G) = vol(G'), summed over τ's view once.
+  [[nodiscard]] graph::Time vol_original();
+
   const Dag* dag_ = nullptr;
   const graph::FlatDagBatch* batch_ = nullptr;
   std::size_t batch_index_ = 0;
-  graph::FlatView view_;  ///< τ: the arena slice, or flat_'s view once built
+  std::optional<graph::FlatDag> flat_;  ///< τ's snapshot (Dag-bound caches)
+  graph::FlatView view_;  ///< τ: the arena slice, or flat_'s view
   std::optional<Dag> materialized_;   ///< lazy Dag of a batch-backed cache
   std::optional<TransformResult> transform_;
-  std::optional<graph::FlatDag> flat_;  ///< eager caches only
   std::optional<graph::FlatDag> flat_transformed_;
   std::optional<graph::CriticalPathInfo> cp_transformed_;
   std::optional<TheoremQuantities> quantities_;

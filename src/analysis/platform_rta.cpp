@@ -232,13 +232,20 @@ PlatformAnalysis analyze_platform(const graph::Dag& dag,
   out.m = platform.cores;
   out.vol_host = q.vol_host;
   out.max_host_path = q.max_host_path;
+  // vol_d from the quantities, node counts from one pass over the view
+  // (check_supports above keeps every device id within the platform).
+  std::vector<graph::Time> volume(
+      static_cast<std::size_t>(platform.num_devices()) + 1, 0);
+  std::vector<std::size_t> count(volume.size(), 0);
+  for (const auto& [device, vol] : q.device_volumes) volume[device] = vol;
+  for (const graph::DeviceId device : view.devices()) ++count[device];
   for (int d = 1; d <= platform.num_devices(); ++d) {
     const auto device = static_cast<graph::DeviceId>(d);
     DeviceTerm term;
     term.device = device;
     term.name = platform.device_name(device);
-    term.volume = dag.volume_on(device);
-    term.node_count = dag.nodes_on(device).size();
+    term.volume = volume[device];
+    term.node_count = count[device];
     term.units = platform.units_of(device);
     term.speedup = platform.speedup_of(device);
     term.term = device_share(term.volume, term.units, term.speedup);

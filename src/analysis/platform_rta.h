@@ -6,11 +6,11 @@
 /// heterogeneous Platform — m identical host cores plus K named accelerator
 /// device classes with n_d execution units each (model/platform.h).
 ///
-/// Derivation (K+1-resource Graham argument, generalising the two-resource
-/// argument of analysis/multi_offload.h).  Fix any work-conserving schedule
-/// and build the interference chain C backwards from the last completing
-/// node.  At any instant where the head of the chain is ready but not
-/// executing, either
+/// Derivation (K+1-resource Graham argument: the host pool plus one
+/// resource per device class).  Fix any work-conserving schedule and build
+/// the interference chain C backwards from the last completing node.  At
+/// any instant where the head of the chain is ready but not executing,
+/// either
 ///   (a) it is a host node, so all m host cores are busy with host work not
 ///       in C, or
 ///   (b) it is placed on accelerator device d, so all n_d units of d are
@@ -28,9 +28,10 @@
 /// by its own resource's (units−1)/units factor.  With n_d = 1 everywhere
 /// the device weights vanish and the path term factors into
 /// max_host_path·(m−1)/m, reproducing the pre-multiplicity bound *exactly*
-/// (a regression test pins the rational equality); with K = 1, n_1 = 1 this
-/// is rta_multi_offload, and with K = 0 the chain form of the classic
-/// Graham bound.
+/// (a regression test pins the rational equality); with K = 1, n_1 = 1 it
+/// is the two-resource bound for any number of offload nodes sharing one
+/// accelerator, vol_host/m + vol_off + max_host_path·(m−1)/m, and with
+/// K = 0 the chain form of the classic Graham bound.
 ///
 /// The bound is monotone in each per-device volume, non-increasing in every
 /// n_d (each path value has derivative (chain_d − vol_d)/n_d² <= 0), and

@@ -9,9 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "exact/bounds.h"
 #include "exact/list_heuristics.h"
-#include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "graph/flat_dag.h"
 #include "obs/metrics.h"
@@ -90,11 +88,25 @@ struct SearchContext {
     std::sort(by_down.begin(), by_down.end(),
               [this](NodeId a, NodeId b) { return prior(a, b); });
     single_offload = flat.num_offload_nodes() == 1;
+    for (NodeId v = 0; v < n; ++v) {
+      if (flat.device(v) == graph::kHostDevice) {
+        vol_host += flat.wcet(v);
+      } else {
+        vol_accel += flat.wcet(v);
+      }
+    }
   }
 
   /// Priority order inside the ready lists: critical (largest down) first.
   [[nodiscard]] bool prior(NodeId a, NodeId b) const {
     return down[a] != down[b] ? down[a] > down[b] : a < b;
+  }
+
+  /// The search's lower_bound() at the root: the critical path (the largest
+  /// down(v)), the host area ⌈vol_host/m⌉ and the accelerator's serialised
+  /// volume.  Requires a non-empty graph.
+  [[nodiscard]] Time root_lower_bound() const {
+    return std::max({down[by_down.front()], (vol_host + m - 1) / m, vol_accel});
   }
 
   SearchContext(const SearchContext&) = delete;  // `flat` views `snapshot`
@@ -107,6 +119,8 @@ struct SearchContext {
   std::vector<Time> down;
   std::vector<NodeId> by_down;  ///< node ids, descending down(v)
   bool single_offload = false;
+  Time vol_host = 0;   ///< host (and sync) volume
+  Time vol_accel = 0;  ///< accelerator volume
 };
 
 /// The full mutable search position (was the Solver's member soup).  The
@@ -240,14 +254,8 @@ class DfsEngine {
     }
     s_.free_cores = ctx_.m;
     s_.started = DynamicBitset(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (ctx_.flat.wcet(v) == 0) continue;
-      if (ctx_.flat.device(v) != graph::kHostDevice) {
-        s_.unstarted_accel_work += ctx_.flat.wcet(v);
-      } else {
-        s_.unstarted_host_work += ctx_.flat.wcet(v);
-      }
-    }
+    s_.unstarted_host_work = ctx_.vol_host;
+    s_.unstarted_accel_work = ctx_.vol_accel;
     s_.running.reserve(static_cast<std::size_t>(ctx_.m) + 1);
     s_.ready_host.reserve(n);
     s_.ready_accel.reserve(n);
@@ -856,14 +864,13 @@ void flush_search_metrics(const BnbResult& result) {
 BnbResult min_makespan(const Dag& dag, int m, const BnbConfig& config) {
   HEDRA_REQUIRE(dag.num_nodes() > 0, "cannot solve an empty graph");
   HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
-  HEDRA_REQUIRE(graph::is_acyclic(dag), "cannot solve a cyclic graph");
-  HEDRA_REQUIRE(dag.max_device() <= 1,
+  const SearchContext ctx(dag, m, config);  // throws on cyclic input
+  HEDRA_REQUIRE(ctx.flat.max_device() <= 1,
                 "exact solvers model a single accelerator device; "
                 "multi-device DAGs are not supported");
-  const SearchContext ctx(dag, m, config);
 
   BnbResult result;
-  result.root_lower_bound = makespan_lower_bound(dag, m);
+  result.root_lower_bound = ctx.root_lower_bound();
   result.heuristic_upper_bound = best_heuristic_makespan(ctx.flat, m).makespan;
   if (result.heuristic_upper_bound == result.root_lower_bound) {
     // Root-bound shortcut: no search ran, worker_stats stays empty.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "analysis/multi_offload.h"
 #include "analysis/naive.h"
 #include "exp/runner.h"
 
@@ -83,8 +82,7 @@ std::vector<AnalysisAblationRow> analysis_ablation(
         const double hom = cache.r_hom(m).to_double();
         const double het = cache.r_het(m).to_double();
         return Sample{
-            hom, het, std::min(hom, het),
-            analysis::rta_multi_offload(cache.original(), m).to_double(),
+            hom, het, std::min(hom, het), cache.r_platform(m).to_double(),
             analysis::rta_naive_subtraction(cache.original(), m).to_double()};
       },
       [](const SweepPoint& point, int m, const std::vector<Sample>& samples) {

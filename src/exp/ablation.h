@@ -8,10 +8,12 @@
 ///    at m = 8, showing how much of the transformation's average-case
 ///    benefit is scheduler-dependent.
 /// 2. Analysis variants: mean R_hom (Eq. 1), R_het (Theorem 1), their
-///    minimum, the two-resource chain bound (analysis/multi_offload.h) and
-///    the unsound naive subtraction (§3.2, for reference only) at m = 2
-///    and 16.  It reuses one batch seed across ratios on purpose: the same
-///    underlying graphs at different C_off make the columns paired.
+///    minimum, the chain bound (analysis/platform_rta.h, which on these
+///    single-offload DAGs is the two-resource bound vol_host/m + C_off +
+///    max_host_path·(m−1)/m) and the unsound naive subtraction (§3.2, for
+///    reference only) at m = 2 and 16.  It reuses one batch seed across
+///    ratios on purpose: the same underlying graphs at different C_off make
+///    the columns paired.
 
 #include <cstdint>
 #include <vector>

@@ -174,7 +174,6 @@ Fig12Result run_fig12(const Fig12Config& config) {
   };
 
   Fig12Result result;
-  result.policy_name = sim::to_string(config.policy);
   result.rows = runner.sweep_items(points, make_batch, per_item, reduce);
 
   for (const int devices : config.devices) {

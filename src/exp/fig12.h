@@ -20,7 +20,6 @@
 /// order — so `--jobs N` output is bit-identical to `--jobs 1`.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "gen/params.h"
@@ -78,7 +77,6 @@ struct Fig12Summary {
 struct Fig12Result {
   std::vector<Fig12Row> rows;
   std::vector<Fig12Summary> summaries;
-  std::string policy_name;
 };
 
 [[nodiscard]] Fig12Result run_fig12(const Fig12Config& config);

@@ -486,8 +486,8 @@ Report fig12_report(const Flags&, const Fig12Config& config,
       std::to_string(config.seed) + "\n\n";
   report.tables.push_back(make_table(
       columns, result.rows,
-      "Taskset admission under shared-accelerator contention (" +
-          result.policy_name + " simulation)\n"));
+      std::string("Taskset admission under shared-accelerator contention (") +
+          sim::to_string(config.policy) + " simulation)\n"));
   report.summary =
       "Capacity & soundness per (K, n_d, m) — every admitted job must stay "
       "below its contention bound:\n";

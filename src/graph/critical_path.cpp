@@ -2,66 +2,39 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.h"
+#include "graph/flat_dag.h"
 
 namespace hedra::graph {
 
-CriticalPathInfo::CriticalPathInfo(const Dag& dag) {
-  const std::size_t n = dag.num_nodes();
-  up_.assign(n, 0);
-  down_.assign(n, 0);
-  const auto order = topological_order(dag);
-  for (const NodeId v : order) {
-    Time best = 0;
-    for (const NodeId p : dag.predecessors(v)) best = std::max(best, up_[p]);
-    up_[v] = best + dag.wcet(v);
-    length_ = std::max(length_, up_[v]);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId v = *it;
-    Time best = 0;
-    for (const NodeId s : dag.successors(v)) best = std::max(best, down_[s]);
-    down_[v] = best + dag.wcet(v);
-  }
-}
+namespace {
 
-CriticalPathInfo::CriticalPathInfo(const FlatView& view) {
-  const std::size_t n = view.num_nodes();
-  up_.assign(n, 0);
-  down_.assign(n, 0);
-  const auto order = view.topological_order();
-  for (const NodeId v : order) {
-    Time best = 0;
-    for (const NodeId p : view.predecessors(v)) best = std::max(best, up_[p]);
-    up_[v] = best + view.wcet(v);
-    length_ = std::max(length_, up_[v]);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId v = *it;
-    Time best = 0;
-    for (const NodeId s : view.successors(v)) best = std::max(best, down_[s]);
-    down_[v] = best + view.wcet(v);
-  }
-}
-
-bool CriticalPathInfo::on_critical_path(const Dag& dag, NodeId v) const {
-  return up(v) + down(v) - dag.wcet(v) == length_;
-}
-
-Time critical_path_length(const Dag& dag) {
-  return CriticalPathInfo(dag).length();
-}
-
-Time critical_path_length(const FlatView& view) {
-  const std::size_t n = view.num_nodes();
-  std::vector<Time> up(n, 0);
-  Time length = 0;
+/// up(v) for every node of a view — the longest path ending at v, v's WCET
+/// included — in one forward pass; `length` receives the maximum, len(G).
+std::vector<Time> up_lengths(const FlatView& view, Time& length) {
+  std::vector<Time> up(view.num_nodes(), 0);
+  length = 0;
   for (const NodeId v : view.topological_order()) {
     Time best = 0;
     for (const NodeId p : view.predecessors(v)) best = std::max(best, up[p]);
     up[v] = best + view.wcet(v);
     length = std::max(length, up[v]);
   }
+  return up;
+}
+
+}  // namespace
+
+// length_ is declared before up_, so up_lengths writes an initialised member.
+CriticalPathInfo::CriticalPathInfo(const FlatView& view)
+    : up_(up_lengths(view, length_)), down_(down_lengths(view)) {}
+
+Time critical_path_length(const Dag& dag) {
+  return critical_path_length(FlatDag(dag).view());
+}
+
+Time critical_path_length(const FlatView& view) {
+  Time length = 0;
+  up_lengths(view, length);
   return length;
 }
 

@@ -12,6 +12,9 @@
 /// so that "v lies on a critical path" is the O(1) test
 /// `up(v) + down(v) - C(v) == len(G)` — exactly what Theorem 1's scenario
 /// classification needs for v_off.
+///
+/// Every walk here reads a FlatView; a Dag enters through one snapshot
+/// (graph/flat_dag.h), as in the critical_path_length(const Dag&) adapter.
 
 #include <vector>
 
@@ -23,12 +26,8 @@ namespace hedra::graph {
 /// Longest-path data for a whole DAG.
 class CriticalPathInfo {
  public:
-  /// Computes lengths via one topological pass.  Throws on cyclic input.
-  explicit CriticalPathInfo(const Dag& dag);
-
-  /// Same lengths from a CSR view, reusing its cached topological order
-  /// (no re-sort, no pointer-chased adjacency) — the hot-path constructor
-  /// the AnalysisCache uses.
+  /// Computes lengths via one forward and one backward pass over the
+  /// view's cached topological order.
   explicit CriticalPathInfo(const FlatView& view);
 
   /// len(G): length of the longest path; 0 for an empty graph.
@@ -40,8 +39,10 @@ class CriticalPathInfo {
   /// Longest path starting at v (inclusive).
   [[nodiscard]] Time down(NodeId v) const { return down_.at(v); }
 
-  /// True iff v lies on at least one critical path.
-  [[nodiscard]] bool on_critical_path(const Dag& dag, NodeId v) const;
+  /// True iff v, whose WCET is `wcet`, lies on at least one critical path.
+  [[nodiscard]] bool on_critical_path(NodeId v, Time wcet) const {
+    return up(v) + down(v) - wcet == length_;
+  }
 
  private:
   Time length_ = 0;
@@ -49,7 +50,8 @@ class CriticalPathInfo {
   std::vector<Time> down_;
 };
 
-/// len(G) without retaining per-node data.
+/// len(G) of a Dag: snapshots it, then walks the view.  Throws on cyclic
+/// input.
 [[nodiscard]] Time critical_path_length(const Dag& dag);
 
 /// len(G) from a CSR view (single forward pass, no allocation beyond one

@@ -149,32 +149,6 @@ std::optional<NodeId> Dag::offload_node() const {
   return all.front();
 }
 
-std::vector<NodeId> Dag::nodes_on(DeviceId device) const {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].device == device) out.push_back(id);
-  }
-  return out;
-}
-
-Time Dag::volume_on(DeviceId device) const noexcept {
-  Time total = 0;
-  for (const auto& n : nodes_) {
-    if (n.device == device) total += n.wcet;
-  }
-  return total;
-}
-
-std::vector<DeviceId> Dag::device_ids() const {
-  std::vector<DeviceId> out;
-  for (const auto& n : nodes_) {
-    if (n.device != kHostDevice) out.push_back(n.device);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 DeviceId Dag::max_device() const noexcept {
   DeviceId max = kHostDevice;
   for (const auto& n : nodes_) max = std::max(max, n.device);
@@ -185,10 +159,6 @@ Time Dag::volume() const noexcept {
   Time total = 0;
   for (const auto& n : nodes_) total += n.wcet;
   return total;
-}
-
-Time Dag::host_volume() const noexcept {
-  return volume_on(kHostDevice);
 }
 
 }  // namespace hedra::graph

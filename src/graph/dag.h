@@ -158,26 +158,12 @@ class Dag {
   /// silently pick one).
   [[nodiscard]] std::optional<NodeId> offload_node() const;
 
-  /// Nodes placed on device d, ascending by id (d = 0 selects host and sync
-  /// nodes).
-  [[nodiscard]] std::vector<NodeId> nodes_on(DeviceId device) const;
-
-  /// Sum of WCETs of the nodes placed on device d — vol_d.
-  [[nodiscard]] Time volume_on(DeviceId device) const noexcept;
-
-  /// Sorted distinct accelerator device ids present in the graph (host
-  /// excluded); empty for a homogeneous DAG.
-  [[nodiscard]] std::vector<DeviceId> device_ids() const;
-
   /// Largest device id present (0 for a homogeneous DAG).  The simulator
   /// provisions one execution unit per device id in [1, max_device()].
   [[nodiscard]] DeviceId max_device() const noexcept;
 
   /// Sum of all WCETs — vol(G) in the paper, accelerator workload included.
   [[nodiscard]] Time volume() const noexcept;
-
-  /// Sum of WCETs of nodes executing on the host (kHost + kSync).
-  [[nodiscard]] Time host_volume() const noexcept;
 
  private:
   void check_id(NodeId id) const {

@@ -24,11 +24,12 @@
 /// goes up), and the error propagates.  So the journal on disk never ends
 /// in a frame the writer did not fully commit... except after a CRASH
 /// mid-write, which is exactly what replay() tolerates: a trailing frame
-/// that is incomplete or fails its CRC is treated as a torn tail, the
-/// clean prefix is returned, and the next open truncates the torn bytes
-/// away.  A bad frame that is NOT at the tail (bytes of further frames
-/// follow) is corruption, not a torn write, and replay() throws rather
-/// than silently dropping accepted records.
+/// that is SHORT (its header or payload runs past the end of the file) is
+/// treated as a torn tail, the clean prefix is returned, and the next open
+/// truncates the torn bytes away.  Every COMPLETE frame must be intact:
+/// bad magic, a length over the cap or a CRC mismatch is corruption, not a
+/// torn write, and replay() throws rather than silently dropping accepted
+/// records, even when that frame is the last one in the file.
 ///
 /// Thread model: one thread may write while another syncs — the admission
 /// server's worker writes records as it decides requests while its

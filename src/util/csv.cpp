@@ -5,17 +5,16 @@ namespace hedra {
 void CsvWriter::row(const std::vector<std::string>& fields) {
   bool first = true;
   for (const auto& field : fields) {
-    if (!first) os_ << sep_;
+    if (!first) os_ << ',';
     first = false;
     os_ << escape(field);
   }
   os_ << '\n';
-  ++rows_;
 }
 
-std::string CsvWriter::escape(std::string_view field) const {
+std::string CsvWriter::escape(std::string_view field) {
   const bool needs_quotes =
-      field.find(sep_) != std::string_view::npos ||
+      field.find(',') != std::string_view::npos ||
       field.find('"') != std::string_view::npos ||
       field.find('\n') != std::string_view::npos ||
       field.find('\r') != std::string_view::npos;

@@ -20,9 +20,10 @@ TEST(AnalysisCacheTest, PaperExampleNumbers) {
   const auto ex = testing::paper_example();
   AnalysisCache cache(ex.dag);
   EXPECT_EQ(cache.len_original(), 8);
-  EXPECT_EQ(cache.len_transformed(), 10);
-  EXPECT_EQ(cache.volume(), 18);
-  EXPECT_EQ(cache.c_off(), 4);
+  EXPECT_EQ(cache.quantities().len_trans, 10);
+  EXPECT_EQ(cache.quantities().vol, 18);
+  EXPECT_EQ(cache.quantities().c_off, 4);
+  EXPECT_FALSE(cache.quantities().voff_critical);
   EXPECT_EQ(cache.scenario(2), Scenario::kS1);
   EXPECT_EQ(cache.r_het(2), Frac(12));
   EXPECT_EQ(cache.r_hom(2), Frac(13));
@@ -49,7 +50,7 @@ TEST(AnalysisCacheTest, MatchesDirectApiAcrossCoreCounts) {
       EXPECT_EQ(cache.r_hom(m), direct.r_hom);
       EXPECT_EQ(cache.r_hom_gpar(m), direct.r_hom_gpar);
       EXPECT_EQ(cache.scenario(m), direct.scenario);
-      EXPECT_EQ(cache.len_transformed(), direct.len_transformed);
+      EXPECT_EQ(cache.quantities().len_trans, direct.len_transformed);
       EXPECT_EQ(cache.quantities().len_gpar, direct.len_gpar);
       EXPECT_EQ(cache.quantities().vol_gpar, direct.vol_gpar);
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/chain_walk_oracle.h"
+#include "common/device_queries.h"
 #include "exp/experiment.h"
 #include "gen/params.h"
 #include "util/rng.h"
@@ -86,14 +87,14 @@ TEST(BatchKernelsTest, QuantitiesMatchTheDagReference) {
                    std::to_string(i));
       const graph::Dag dag = batch.materialize(i);
       const PlatformQuantities& got = result.quantities[i];
-      EXPECT_EQ(got.vol_host, dag.volume_on(graph::kHostDevice));
+      EXPECT_EQ(got.vol_host, testing::volume_on(dag, graph::kHostDevice));
       EXPECT_EQ(Frac(got.max_host_path), testing::reference_host_path(dag));
       std::vector<std::pair<DeviceId, Time>> volumes;
       Time sum = 0;
       for (DeviceId d = 1; d <= dag.max_device(); ++d) {
-        if (dag.nodes_on(d).empty()) continue;
-        volumes.emplace_back(d, dag.volume_on(d));
-        sum += dag.volume_on(d);
+        if (testing::nodes_on(dag, d).empty()) continue;
+        volumes.emplace_back(d, testing::volume_on(dag, d));
+        sum += testing::volume_on(dag, d);
       }
       EXPECT_EQ(got.device_volumes, volumes);
       EXPECT_EQ(got.device_volume_sum, sum);

@@ -1,18 +1,19 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_cache.h"
-#include "analysis/multi_offload.h"
 #include "analysis/platform_rta.h"
 #include "common/chain_walk_oracle.h"
+#include "common/device_queries.h"
 #include "common/fixtures.h"
 #include "common/legacy_gen.h"
 #include "exp/experiment.h"
 #include "graph/flat_dag.h"
 #include "util/rng.h"
 
-/// The K-device chain bound (analysis/platform_rta.h) against its K = 1
-/// reference implementation (analysis/multi_offload.h).  The equivalence
-/// regression is exact: both are rationals, so EXPECT_EQ compares num/den.
+/// The K-device chain bound (analysis/platform_rta.h) against hand-checked
+/// values and the Dag-side oracle (common/chain_walk_oracle.h).  The
+/// equivalence regressions are exact: both sides are rationals, so
+/// EXPECT_EQ compares num/den.
 
 namespace hedra {
 namespace {
@@ -71,12 +72,25 @@ TEST(PlatformRtaTest, ExtraPlatformDevicesContributeZero) {
   const Frac wide =
       analysis::rta_platform(ex.dag, Platform::symmetric(2, 4));
   EXPECT_EQ(narrow, wide);
+  // v_off is device 1's only node; devices 2..4 hold none.
+  const auto analysis =
+      analysis::analyze_platform(ex.dag, Platform::symmetric(2, 4));
+  ASSERT_EQ(analysis.devices.size(), 4u);
+  EXPECT_EQ(analysis.devices[0].volume, 4);
+  EXPECT_EQ(analysis.devices[0].node_count, 1u);
+  for (std::size_t d = 1; d < 4; ++d) {
+    EXPECT_EQ(analysis.devices[d].volume, 0);
+    EXPECT_EQ(analysis.devices[d].node_count, 0u);
+    EXPECT_EQ(analysis.devices[d].term, Frac(0));
+  }
 }
 
-/// SATELLITE REGRESSION: for generated single-device DAGs the K-device
-/// bound equals the two-resource rta_multi_offload exactly, across the
-/// paper's whole generation envelope (single offload via the paper pipeline
-/// AND several offloads on one device via the multi-device pipeline).
+/// For generated single-device DAGs the K-device bound equals the
+/// two-resource multi-offload bound vol_host/m + vol_off +
+/// max_host_path·(m−1)/m, as the Dag-side oracle computes it, exactly,
+/// across the paper's whole generation envelope (single offload via the
+/// paper pipeline AND several offloads on one device via the multi-device
+/// pipeline).
 TEST(PlatformRtaTest, SingleDeviceBoundEqualsMultiOffloadExactly) {
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     exp::BatchConfig config;
@@ -88,7 +102,7 @@ TEST(PlatformRtaTest, SingleDeviceBoundEqualsMultiOffloadExactly) {
     for (const auto& dag : exp::generate_batch(config)) {
       for (const int m : {1, 2, 4, 8, 16}) {
         EXPECT_EQ(analysis::rta_platform(dag, model::platform_for(dag, m)),
-                  analysis::rta_multi_offload(dag, m))
+                  testing::reference_platform_bound(dag, m))
             << "seed=" << seed << " m=" << m;
       }
     }
@@ -108,7 +122,7 @@ TEST(PlatformRtaTest, SingleDeviceMultiOffloadBoundEqualsMultiOffloadExactly) {
     EXPECT_EQ(dag.offload_nodes().size(), 3u);
     for (const int m : {1, 2, 4, 8, 16}) {
       EXPECT_EQ(analysis::rta_platform(dag, model::platform_for(dag, m)),
-                analysis::rta_multi_offload(dag, m))
+                testing::reference_platform_bound(dag, m))
           << "i=" << i << " m=" << m;
     }
   }
@@ -202,8 +216,11 @@ TEST(PlatformRtaTest, SingleUnitWeightingReproducesTheLegacyBoundExactly) {
       const Frac legacy_walk = host_path * Frac(m - 1, m);
       EXPECT_EQ(analysis::max_host_path(flat.view(), weighting), legacy_walk)
           << "i=" << i << " m=" << m;
-      Frac legacy = Frac(dag.volume_on(graph::kHostDevice), m) + legacy_walk;
-      for (graph::DeviceId d = 1; d <= 3; ++d) legacy += dag.volume_on(d);
+      Frac legacy =
+          Frac(testing::volume_on(dag, graph::kHostDevice), m) + legacy_walk;
+      for (graph::DeviceId d = 1; d <= 3; ++d) {
+        legacy += testing::volume_on(dag, d);
+      }
       EXPECT_EQ(analysis::rta_platform(dag, Platform::symmetric(m, 3, 1)),
                 legacy)
           << "i=" << i << " m=" << m;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/multi_offload.h"
+#include "common/chain_walk_oracle.h"
 #include "common/fixtures.h"
 
 namespace hedra::analysis {
@@ -80,15 +80,16 @@ TEST(SchedulabilityTest, PlatformKindUsesTheChainBound) {
       check_schedulability(tight, 4, AnalysisKind::kPlatform).schedulable);
 }
 
-/// SATELLITE REGRESSION: on a single-accelerator task the kPlatform test is
-/// exactly the heterogeneous two-resource path — the K = 1 chain bound
-/// equals rta_multi_offload across the paper's whole m grid.
+/// On a single-accelerator task the kPlatform test is exactly the
+/// two-resource chain bound: the K = 1 bound equals the Dag-side oracle's
+/// vol_host/m + C_off + max_host_path·(m−1)/m across the paper's m grid.
 TEST(SchedulabilityTest, PlatformKindAtKOneEqualsTheHeterogeneousPathBound) {
   const auto ex = testing::paper_example();
   for (const int m : {1, 2, 4, 8, 16}) {
     const model::DagTask task(ex.dag, 100, 100);
     const auto report = check_schedulability(task, m, AnalysisKind::kPlatform);
-    EXPECT_EQ(report.bound, rta_multi_offload(ex.dag, m)) << "m=" << m;
+    EXPECT_EQ(report.bound, testing::reference_platform_bound(ex.dag, m))
+        << "m=" << m;
     EXPECT_EQ(report.dominating_device, 1);
     EXPECT_EQ(report.dominating_device_term, Frac(4));  // C_off = 4
   }

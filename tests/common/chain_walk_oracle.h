@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "common/device_queries.h"
 #include "graph/algorithms.h"
 #include "graph/dag.h"
 #include "util/fraction.h"
@@ -76,9 +77,9 @@ inline Frac reference_chain_walk(const graph::Dag& dag, int m,
 inline Frac reference_platform_bound(const graph::Dag& dag, int m,
                                      std::span<const int> units = {},
                                      std::span<const Frac> speedups = {}) {
-  Frac bound(dag.volume_on(graph::kHostDevice), m);
+  Frac bound(volume_on(dag, graph::kHostDevice), m);
   for (graph::DeviceId d = 1; d <= dag.max_device(); ++d) {
-    bound += Frac(dag.volume_on(d), oracle_units(units, d)) /
+    bound += Frac(volume_on(dag, d), oracle_units(units, d)) /
              oracle_speedup(speedups, d);
   }
   return bound + reference_chain_walk(dag, m, units, speedups);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/chain_walk_oracle.h"
+#include "common/device_queries.h"
 #include "taskset/contention_rta.h"
 #include "taskset/taskset.h"
 
@@ -48,7 +49,7 @@ constexpr __int128 kMaxMagnitude = __int128{1} << 56;
 constexpr int kMaxIterations = 1000;
 
 inline Time task_volume_on(const DagTask& task, graph::DeviceId device) {
-  if (!task.has_flat_view()) return task.dag().volume_on(device);
+  if (!task.has_flat_view()) return volume_on(task.dag(), device);
   const graph::FlatView view = task.flat_view();
   Time volume = 0;
   for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {

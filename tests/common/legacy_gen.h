@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/device_queries.h"
 #include "exp/experiment.h"
 #include "gen/flat_gen.h"
 #include "gen/params.h"
@@ -180,7 +181,7 @@ inline OffloadSplit set_offload_ratio_multi(
   using graph::Time;
   HEDRA_REQUIRE(ratio > 0.0 && ratio < 1.0,
                 "offload ratio must lie strictly inside (0, 1)");
-  const auto devices = dag.device_ids();
+  const auto devices = testing::device_ids(dag);
   HEDRA_REQUIRE(!devices.empty(), "no offload nodes selected");
   HEDRA_REQUIRE(mix.empty() || mix.size() == devices.size(),
                 "device mix must have one weight per device present");
@@ -200,7 +201,7 @@ inline OffloadSplit set_offload_ratio_multi(
                   "device speedup factor " + std::to_string(i) +
                       " must be finite and strictly positive");
   }
-  const Time vol_host = dag.volume_on(graph::kHostDevice);
+  const Time vol_host = testing::volume_on(dag, graph::kHostDevice);
   HEDRA_REQUIRE(vol_host > 0, "host workload must be positive");
 
   // Solve C_total / (vol_host + C_total) = ratio, then split by mix weight.
@@ -217,7 +218,7 @@ inline OffloadSplit set_offload_ratio_multi(
     // ticks, so the device-time budget shrinks by the factor.
     const double budget = total * weight / weight_sum /
                           (speedup.empty() ? 1.0 : speedup[i]);
-    const auto nodes = dag.nodes_on(devices[i]);
+    const auto nodes = testing::nodes_on(dag, devices[i]);
     // Cumulative rounding spreads the budget across the device's nodes
     // without drift; every node keeps a WCET of at least 1.
     Time device_total = 0;
@@ -241,7 +242,7 @@ inline OffloadSplit set_offload_ratio_multi(
                                          graph::DeviceId device) {
   const graph::Time vol = dag.volume();
   HEDRA_REQUIRE(vol > 0, "graph has zero volume");
-  return static_cast<double>(dag.volume_on(device)) /
+  return static_cast<double>(testing::volume_on(dag, device)) /
          static_cast<double>(vol);
 }
 

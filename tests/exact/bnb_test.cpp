@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/brute_force.h"
 #include "common/fixtures.h"
 #include "graph/flat_dag.h"
 #include "common/legacy_gen.h"
-#include "exact/bounds.h"
 #include "exact/list_heuristics.h"
+#include "graph/critical_path.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -44,7 +46,7 @@ TEST(BnbTest, PaperExampleOptimalIs8) {
 TEST(BnbTest, EnoughCoresReachLen) {
   const auto ex = testing::fig3_example();
   const BnbResult result = min_makespan(ex.dag, 16);
-  EXPECT_EQ(result.makespan, makespan_lower_bounds(ex.dag, 16).critical_path);
+  EXPECT_EQ(result.makespan, graph::critical_path_length(ex.dag));
   EXPECT_TRUE(result.proven_optimal);
 }
 
@@ -102,6 +104,24 @@ TEST(BnbTest, MultiOffloadSerialisation) {
 TEST(BnbTest, InvalidInputsThrow) {
   EXPECT_THROW((void)min_makespan(graph::Dag{}, 2), Error);
   EXPECT_THROW((void)min_makespan(testing::chain(2, 1), 0), Error);
+  graph::Dag two_devices;
+  two_devices.add_node_on(1, 1);
+  two_devices.add_node_on(1, 2);
+  EXPECT_THROW((void)min_makespan(two_devices, 2), Error);
+  // The snapshot's Kahn pass is the solver's acyclicity check.
+  graph::Dag cyclic;
+  const auto a = cyclic.add_node(1);
+  const auto b = cyclic.add_node(1);
+  cyclic.add_edge(a, b);
+  cyclic.add_edge(b, a);
+  try {
+    (void)min_makespan(cyclic, 2);
+    ADD_FAILURE() << "a cyclic graph was solved";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("graph contains a cycle"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BruteForceTest, GuardsAgainstLargeGraphs) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/fixtures.h"
+#include "exact/bnb.h"
 #include "graph/flat_dag.h"
-#include "exact/bounds.h"
 
 namespace hedra::exact {
 namespace {
@@ -31,7 +31,7 @@ TEST(HeuristicsTest, NeverBelowLowerBound) {
     const graph::FlatDag flat(dag);
     for (const int m : {1, 2, 4, 8}) {
       EXPECT_GE(best_heuristic_makespan(flat.view(), m).makespan,
-                makespan_lower_bound(dag, m));
+                min_makespan(dag, m).root_lower_bound);
     }
   }
 }

@@ -94,7 +94,9 @@ TEST(RunnerTest, SweepSamplesArriveInReplicationOrder) {
     Runner runner(jobs);
     return runner.sweep(
         points,
-        [](analysis::AnalysisCache& cache, int) { return cache.volume(); },
+        [](analysis::AnalysisCache& cache, int) {
+          return cache.quantities().vol;
+        },
         [](const SweepPoint&, int, const std::vector<graph::Time>& samples) {
           return samples;
         });
@@ -186,7 +188,7 @@ TEST(RunnerTest, FaultAtASweepPointReachesTheCaller) {
   spec.seed = 17;
   const auto points = make_grid(spec);
   const auto per_dag = [](analysis::AnalysisCache& cache, int) {
-    return cache.volume();
+    return cache.quantities().vol;
   };
   const auto reduce = [](const SweepPoint&, int,
                          const std::vector<graph::Time>& samples) {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 
+#include "common/device_queries.h"
 #include "common/legacy_gen.h"
 #include "graph/validate.h"
 #include "util/rng.h"
@@ -31,7 +32,8 @@ TEST(MultiDeviceGenTest, SelectPlacesDistinctInternalNodesDeviceMajor) {
     EXPECT_GT(dag.in_degree(chosen[i]), 0u);
     EXPECT_GT(dag.out_degree(chosen[i]), 0u);
   }
-  EXPECT_EQ(dag.device_ids(), (std::vector<graph::DeviceId>{1, 2, 3}));
+  EXPECT_EQ(testing::device_ids(dag),
+            (std::vector<graph::DeviceId>{1, 2, 3}));
   EXPECT_EQ(dag.offload_nodes().size(), 6u);
 }
 
@@ -53,8 +55,8 @@ TEST(MultiDeviceGenTest, EvenSplitHitsTheTargetTotalRatio) {
   for (const double ratio : {0.05, 0.2, 0.4, 0.6}) {
     const gen::OffloadSplit split = gen::set_offload_ratio_multi(dag, ratio);
     graph::Time device_sum = 0;
-    for (const auto device : dag.device_ids()) {
-      device_sum += dag.volume_on(device);
+    for (const auto device : testing::device_ids(dag)) {
+      device_sum += testing::volume_on(dag, device);
     }
     EXPECT_EQ(split.total, device_sum);
     const double realised =
@@ -79,10 +81,12 @@ TEST(MultiDeviceGenTest, BreakdownMatchesRealisedVolumesAndSumsToTotal) {
     ASSERT_EQ(split.per_device.size(), 3u);
     graph::Time sum = 0;
     for (const auto& [device, volume] : split.per_device) {
-      EXPECT_EQ(volume, dag.volume_on(device)) << "device " << device;
+      EXPECT_EQ(volume, testing::volume_on(dag, device))
+          << "device " << device;
       // The documented floor: every node keeps WCET >= 1, so a device with
       // k offload nodes realises at least k ticks even at near-zero weight.
-      EXPECT_GE(volume, static_cast<graph::Time>(dag.nodes_on(device).size()))
+      EXPECT_GE(volume, static_cast<graph::Time>(
+                            testing::nodes_on(dag, device).size()))
           << "device " << device;
       sum += volume;
     }
@@ -151,11 +155,11 @@ TEST(MultiDeviceGenTest, GeneratorProducesValidDeviceAnnotatedDags) {
     Rng rng = master.fork();
     const graph::Dag dag = gen::generate_multi_device(params, 0.3, rng);
     EXPECT_TRUE(graph::is_valid(dag, rules));
-    EXPECT_EQ(dag.device_ids().size(), 3u);
+    EXPECT_EQ(testing::device_ids(dag).size(), 3u);
     EXPECT_EQ(dag.offload_nodes().size(), 6u);
     EXPECT_EQ(dag.max_device(), 3);
-    const double realised = static_cast<double>(dag.volume() -
-                                                dag.host_volume()) /
+    const graph::Time vol_host = testing::volume_on(dag, graph::kHostDevice);
+    const double realised = static_cast<double>(dag.volume() - vol_host) /
                             static_cast<double>(dag.volume());
     EXPECT_NEAR(realised, 0.3, 0.05);
   }

@@ -104,7 +104,6 @@ TEST(DagTest, EdgesListsAllEdges) {
 TEST(DagTest, VolumeIncludesOffload) {
   const auto ex = testing::paper_example();
   EXPECT_EQ(ex.dag.volume(), 18);
-  EXPECT_EQ(ex.dag.host_volume(), 14);
 }
 
 TEST(DagTest, OffloadNodeLookup) {
@@ -178,14 +177,8 @@ TEST(DagTest, AddNodeOnPlacesAndLabelsByDevice) {
 TEST(DagTest, PerDeviceAccessors) {
   const auto ex = testing::multi_device_example();
   EXPECT_EQ(ex.dag.volume(), 28);
-  EXPECT_EQ(ex.dag.host_volume(), 17);
-  EXPECT_EQ(ex.dag.volume_on(kHostDevice), 17);
-  EXPECT_EQ(ex.dag.volume_on(1), 6);
-  EXPECT_EQ(ex.dag.volume_on(2), 5);
-  EXPECT_EQ(ex.dag.volume_on(9), 0);
-  EXPECT_EQ(ex.dag.nodes_on(1), (std::vector<NodeId>{ex.gpu}));
-  EXPECT_EQ(ex.dag.nodes_on(2), (std::vector<NodeId>{ex.dsp}));
-  EXPECT_EQ(ex.dag.device_ids(), (std::vector<DeviceId>{1, 2}));
+  EXPECT_EQ(ex.dag.device(ex.gpu), 1);
+  EXPECT_EQ(ex.dag.device(ex.dsp), 2);
   EXPECT_EQ(ex.dag.max_device(), 2);
   EXPECT_EQ(ex.dag.offload_nodes(), (std::vector<NodeId>{ex.gpu, ex.dsp}));
   EXPECT_THROW((void)ex.dag.offload_node(), Error);

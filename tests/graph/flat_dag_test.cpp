@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/critical_path_oracle.h"
 #include "common/fixtures.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
@@ -66,22 +67,22 @@ TEST(FlatDagTest, ThrowsOnCycle) {
   EXPECT_THROW(FlatDag flat(dag), Error);
 }
 
-TEST(FlatDagTest, CriticalPathInfoMatchesDagOverload) {
+TEST(FlatDagTest, CriticalPathInfoMatchesDagReference) {
   const Dag dag = hedra::testing::s21_example();
   const FlatDag snapshot(dag);
   const FlatView flat = snapshot.view();
-  const CriticalPathInfo from_dag(dag);
+  const auto reference = hedra::testing::reference_paths(dag);
   const CriticalPathInfo from_flat(flat);
-  EXPECT_EQ(from_flat.length(), from_dag.length());
+  EXPECT_EQ(from_flat.length(), reference.length);
   for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    EXPECT_EQ(from_flat.up(v), from_dag.up(v));
-    EXPECT_EQ(from_flat.down(v), from_dag.down(v));
+    EXPECT_EQ(from_flat.up(v), reference.up[v]);
+    EXPECT_EQ(from_flat.down(v), reference.down[v]);
+    EXPECT_EQ(from_flat.on_critical_path(v, dag.wcet(v)),
+              reference.on_critical_path(dag, v));
   }
-  EXPECT_EQ(critical_path_length(flat), critical_path_length(dag));
-  const auto down = down_lengths(flat);
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    EXPECT_EQ(down[v], from_dag.down(v));
-  }
+  EXPECT_EQ(critical_path_length(flat), reference.length);
+  EXPECT_EQ(critical_path_length(dag), reference.length);
+  EXPECT_EQ(down_lengths(flat), reference.down);
 }
 
 }  // namespace

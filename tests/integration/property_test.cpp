@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_cache.h"
-#include "analysis/multi_offload.h"
 #include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
 #include "common/fixtures.h"
 #include "common/legacy_gen.h"
 #include "exact/bnb.h"
-#include "exact/bounds.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "sim/scheduler.h"
@@ -110,7 +108,8 @@ TEST_P(SoundnessSweep, MultiOffloadBoundDominatesExecutions) {
       }
     }
     const int m = static_cast<int>(rng.uniform_int(1, 8));
-    const Frac bound = analysis::rta_multi_offload(dag, m);
+    const Frac bound =
+        analysis::rta_platform(dag, model::platform_for(dag, m));
     for (const auto policy : kAllPolicies) {
       sim::SimConfig config;
       config.cores = m;
@@ -226,8 +225,8 @@ TEST_P(SoundnessSweep, OrderingLenOptSimBound) {
     const graph::Time simulated = sim::simulated_makespan(inst.dag, config);
     const auto analysis = analysis::analyze_heterogeneous(inst.dag, m);
 
-    EXPECT_LE(len, opt.makespan);
-    EXPECT_LE(exact::makespan_lower_bound(inst.dag, m), opt.makespan);
+    EXPECT_LE(len, opt.root_lower_bound);
+    EXPECT_LE(opt.root_lower_bound, opt.makespan);
     EXPECT_LE(opt.makespan, simulated);
     EXPECT_LE(Frac(simulated), analysis.r_hom);
     // Any execution of τ' is a legal execution of τ, so OPT(τ) <= R_het(τ').

@@ -24,6 +24,7 @@
 #include "analysis/analysis_cache.h"
 #include "common/contention_oracle.h"
 #include "common/contention_text.h"
+#include "common/device_queries.h"
 #include "graph/critical_path.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
@@ -107,7 +108,10 @@ TaskSet set_of(const model::Platform& platform,
 bool shares_a_device(const DagTask& a, const DagTask& b,
                      const model::Platform& platform) {
   for (graph::DeviceId d = 1; d <= platform.num_devices(); ++d) {
-    if (a.dag().volume_on(d) > 0 && b.dag().volume_on(d) > 0) return true;
+    if (testing::volume_on(a.dag(), d) > 0 &&
+        testing::volume_on(b.dag(), d) > 0) {
+      return true;
+    }
   }
   return false;
 }
@@ -268,7 +272,8 @@ void run_sequence(std::uint64_t seed, int steps, Coverage& coverage) {
     }
     if (reply.decision == Decision::kAdmitted) {
       admitted.push_back(task);
-      if (task.dag().host_volume() < task.dag().volume()) {
+      if (testing::volume_on(task.dag(), graph::kHostDevice) <
+          task.dag().volume()) {
         ++coverage.device_admits;
       } else {
         ++coverage.host_admits;

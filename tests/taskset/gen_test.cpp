@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/device_queries.h"
 #include "graph/critical_path.h"
 #include "graph/validate.h"
 #include "util/error.h"
@@ -46,8 +47,8 @@ TEST(TaskSetGenTest, GeneratesValidatedSetsWithPopulatedDevices) {
   rules.required_offload_count = -1;
   for (const DagTask& task : set) {
     EXPECT_TRUE(graph::is_valid(task.dag(), rules));
-    EXPECT_GT(task.dag().volume_on(1), 0);
-    EXPECT_GT(task.dag().volume_on(2), 0);
+    EXPECT_GT(testing::volume_on(task.dag(), 1), 0);
+    EXPECT_GT(testing::volume_on(task.dag(), 2), 0);
     EXPECT_GE(task.period(), graph::critical_path_length(task.dag()));
     EXPECT_EQ(task.deadline(), task.period());  // implicit by default
   }
@@ -121,8 +122,10 @@ TEST(TaskSetGenTest, SpeedupShrinksDeviceVolumes) {
     // Same structure and placement (identical RNG stream), but device 1's
     // realised volume shrinks by ~the speedup factor.
     EXPECT_EQ(plain[i].dag().num_nodes(), sped[i].dag().num_nodes());
-    EXPECT_LT(sped[i].dag().volume_on(1), plain[i].dag().volume_on(1));
-    EXPECT_EQ(sped[i].dag().volume_on(2), plain[i].dag().volume_on(2));
+    EXPECT_LT(testing::volume_on(sped[i].dag(), 1),
+              testing::volume_on(plain[i].dag(), 1));
+    EXPECT_EQ(testing::volume_on(sped[i].dag(), 2),
+              testing::volume_on(plain[i].dag(), 2));
   }
 }
 

@@ -12,7 +12,6 @@ TEST(CsvTest, PlainRow) {
   CsvWriter csv(os);
   csv.row({"a", "b", "c"});
   EXPECT_EQ(os.str(), "a,b,c\n");
-  EXPECT_EQ(csv.rows_written(), 1u);
 }
 
 TEST(CsvTest, QuotesFieldsWithSeparator) {
@@ -34,13 +33,6 @@ TEST(CsvTest, QuotesNewlines) {
   CsvWriter csv(os);
   csv.row({"two\nlines", "x"});
   EXPECT_EQ(os.str(), "\"two\nlines\",x\n");
-}
-
-TEST(CsvTest, CustomSeparator) {
-  std::ostringstream os;
-  CsvWriter csv(os, ';');
-  csv.row({"a;b", "c"});
-  EXPECT_EQ(os.str(), "\"a;b\";c\n");
 }
 
 TEST(CsvTest, EmptyRow) {
